@@ -7,7 +7,7 @@
 // runs each, FoM normalizers from 5000 random samples. Every budget is a
 // simulation count, so the emitted table is bit-reproducible run-to-run.
 // Scale with GCNRL_FULL=1 / GCNRL_STEPS / GCNRL_SEEDS / GCNRL_CALIB (see
-// DESIGN.md); defaults reproduce the ordering in minutes.
+// README "Benchmarks"); defaults reproduce the ordering in minutes.
 //
 // The whole experiment is one declarative task list handed to
 // api::run_tasks: the planner calibrates each circuit once, chains the

@@ -4,9 +4,9 @@
 // "human expert" reference sizing.
 //
 // Exact contest netlists (Stanford EE214B, [6][7][25]) are not public;
-// these are architecture-faithful equivalents with the same metric sets —
-// see DESIGN.md "Substitutions". All builders are parameterized by
-// technology node, which is what enables the Table IV porting experiments.
+// these are architecture-faithful equivalents with the same metric sets.
+// All builders are parameterized by technology node, which is what enables
+// the Table IV porting experiments.
 //
 // Metric units are SI throughout (Hz, ohm, W, V/sqrt(Hz) or A/sqrt(Hz),
 // seconds, dB for the ratio metrics); the bench printers convert to the

@@ -1,4 +1,4 @@
-// Benchmark scaling knobs (see DESIGN.md "Scaling knobs").
+// Benchmark scaling knobs (see README "Benchmarks").
 //
 // The paper's full protocol (10 000 search steps x 3 seeds x 7 methods x 4
 // circuits) takes hours; the default configuration reproduces the *shape*

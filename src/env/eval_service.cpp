@@ -8,6 +8,7 @@
 #include <exception>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "common/envcfg.hpp"
@@ -109,6 +110,12 @@ class ThreadPoolBackend final : public EvalBackend {
   }
 
   void run(std::span<const std::function<void()>> jobs) override {
+    // A worker waiting on its own pool would deadlock (and overwrite the
+    // batch it is part of), so a re-entrant call is a usage error.
+    if (current_pool == this) {
+      throw std::logic_error(
+          "EvalBackend::run called from one of its own pool workers");
+    }
     if (jobs.empty()) return;
     std::unique_lock<std::mutex> lock(mu_);
     jobs_ = jobs;
@@ -125,17 +132,21 @@ class ThreadPoolBackend final : public EvalBackend {
 
  private:
   void worker_loop() {
+    current_pool = this;
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       cv_work_.wait(lock, [this] { return stop_ || next_ < jobs_.size(); });
       if (stop_) return;
       const std::size_t idx = next_++;
       lock.unlock();
-      jobs_[idx]();  // jobs trap their own exceptions (see eval_batch)
+      jobs_[idx]();  // jobs trap their own exceptions
       lock.lock();
       if (--remaining_ == 0) cv_done_.notify_one();
     }
   }
+
+  // The pool whose worker the current thread is (nullptr off-pool).
+  static thread_local const ThreadPoolBackend* current_pool;
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
@@ -146,6 +157,9 @@ class ThreadPoolBackend final : public EvalBackend {
   std::size_t remaining_ = 0;
   bool stop_ = false;
 };
+
+thread_local const ThreadPoolBackend* ThreadPoolBackend::current_pool =
+    nullptr;
 
 // The design part of a cache key: matched components and unused action
 // dims are already folded away by refine(), so any two raw action
@@ -377,6 +391,26 @@ std::vector<EvalResult> EvalService::eval_batch(
     jobs[i] = EvalJob{&bc, &actions[i], attr};
   }
   return eval_batch_multi(jobs);
+}
+
+void EvalService::run_parallel(
+    std::span<const std::function<void()>> tasks) {
+  std::vector<std::exception_ptr> errors(tasks.size());
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    jobs.emplace_back([&task = tasks[i], &error = errors[i]] {
+      try {
+        task();
+      } catch (...) {
+        error = std::current_exception();
+      }
+    });
+  }
+  backend_->run(jobs);
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 EvalResult EvalService::eval_one(const BenchmarkCircuit& bc,

@@ -93,10 +93,12 @@ class EvalCache {
       map_;
 };
 
-// Backend strategy: execute a batch of independent evaluation jobs. Jobs
-// are self-contained (they catch their own simulation errors) and may run
-// in any order on any thread; completion of run() implies completion of
-// every job.
+// Backend strategy: execute a batch of independent jobs. Jobs are
+// self-contained (they catch their own exceptions) and may run in any
+// order on any thread; completion of run() implies completion of every
+// job. A job must not call run() on the backend executing it: the thread
+// pool throws std::logic_error on such a re-entrant call instead of
+// deadlocking.
 class EvalBackend {
  public:
   virtual ~EvalBackend() = default;
@@ -154,6 +156,15 @@ class EvalService {
                                      int attr = -1);
   EvalResult eval_one(const BenchmarkCircuit& bc, const la::Mat& actions,
                       int attr = -1);
+
+  // Run independent tasks on the service's backend (the lockstep drivers'
+  // per-pair learner steps), `threads()` wide; returns once all are done.
+  // Tasks may run in any order on any thread, so they must not share
+  // mutable state, and they must not call back into this service (a
+  // re-entrant call from a pool worker throws std::logic_error). Every
+  // task runs even when another throws; the exception of the first failing
+  // task in span order is then rethrown on the calling thread.
+  void run_parallel(std::span<const std::function<void()>> tasks);
 
   [[nodiscard]] int threads() const;
   EvalCache& cache() { return cache_; }

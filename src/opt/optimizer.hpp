@@ -5,6 +5,12 @@
 // MAXIMIZE the objective (the FoM). The environment applies the identical
 // refinement pipeline to these vectors as to the RL agent's actions, so
 // every method searches the same legal design space.
+//
+// Concurrency: rl::run_optimizer_lockstep runs the ask()/tell() calls of
+// distinct instances concurrently on the evaluation pool. An optimizer
+// must therefore keep all its state in the instance (no mutable statics
+// shared between instances), and ask()/tell() must not call into the
+// EvalService.
 #pragma once
 
 #include <vector>

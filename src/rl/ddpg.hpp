@@ -15,6 +15,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "nn/adam.hpp"
@@ -43,6 +44,17 @@ struct DdpgConfig {
   double baseline_tau = 0.05;  // EMA coefficient for the reward baseline B
 };
 
+// Critic step of Algorithm 1: accumulates into the critic's
+// Parameter::grad the gradient of mean_i (Q(S, A_i) - (R_i - B))^2 over
+// `batch`. Samples stream through one reused tape, one graph alive at a
+// time; each is seeded with the 1/|batch| weight the summed loss gives it,
+// newest first, so the gradients are bit-identical to one backward pass
+// over the whole-batch loss.
+void critic_backward(GcnCritic& critic, const la::Mat& state,
+                     const la::Mat& a_hat, const TypeMasks& masks,
+                     std::span<const Transition* const> batch,
+                     double baseline);
+
 class DdpgAgent {
  public:
   // state: n x state_dim (normalized); adjacency: raw 0/1 A (the agent
@@ -58,7 +70,10 @@ class DdpgAgent {
   la::Mat act_explore();
 
   // Record the reward for `actions`; advances the episode counter and runs
-  // the critic/actor updates once past warm-up.
+  // the critic/actor updates once past warm-up. Touches only this agent's
+  // state, so distinct agents may observe concurrently (the lockstep
+  // driver runs them on the evaluation pool); it must not call into the
+  // EvalService.
   void observe(const la::Mat& actions, double reward);
 
   // Critic's current value estimate (diagnostics / tests).

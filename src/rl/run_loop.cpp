@@ -1,6 +1,7 @@
 #include "rl/run_loop.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -52,6 +53,18 @@ std::vector<std::vector<std::size_t>> group_by_service(
   return groups;
 }
 
+// Throws std::invalid_argument when one learner appears in two pairs:
+// the lockstep drivers step pairs concurrently, so a shared agent or
+// optimizer would race with itself.
+template <typename T>
+void reject_aliased(std::span<T* const> learners, const char* what) {
+  std::vector<const T*> sorted(learners.begin(), learners.end());
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    throw std::invalid_argument(what);
+  }
+}
+
 void run_ddpg_lockstep_group(std::span<env::SizingEnv* const> envs,
                              std::span<DdpgAgent* const> agents,
                              std::span<const int> steps,
@@ -64,6 +77,7 @@ void run_ddpg_lockstep_group(std::span<env::SizingEnv* const> envs,
   std::vector<SimLedger> ledgers(members.size());
   std::vector<env::EvalJob> jobs;
   std::vector<std::size_t> active;  // slots into `members`, pair order
+  std::vector<std::function<void()>> learn;
   for (int step = 0; step < max_steps; ++step) {
     // Collect phase, pair order: each still-active agent draws from its
     // own RNG stream exactly as its serial run_ddpg iteration would; a
@@ -81,12 +95,20 @@ void run_ddpg_lockstep_group(std::span<env::SizingEnv* const> envs,
     }
     // One multi-circuit batch: one independent simulation per active pair.
     const std::vector<env::EvalResult> results = svc.eval_batch_multi(jobs);
-    // Observe phase, pair order: replay pushes and network updates are
-    // strictly per-agent, so sequencing them preserves serial semantics.
+    // Observe phase: one learner task per active pair on the service's
+    // pool. Replay pushes and network updates are strictly per-agent, so
+    // running the agents concurrently preserves serial semantics.
+    learn.clear();
+    for (std::size_t j = 0; j < active.size(); ++j) {
+      DdpgAgent* agent = agents[members[active[j]]];
+      learn.emplace_back([agent, &a = actions[active[j]],
+                          fom = results[j].fom] { agent->observe(a, fom); });
+    }
+    svc.run_parallel(learn);
+    // Commit phase, pair order, on the calling thread.
     for (std::size_t j = 0; j < active.size(); ++j) {
       const std::size_t k = active[j];
       const std::size_t i = members[k];
-      agents[i]->observe(actions[k], results[j].fom);
       out[i].sims +=
           ledgers[k].charge(envs[i]->bench().space, results[j].params);
       out[i].commit(actions[k], results[j]);
@@ -147,6 +169,7 @@ std::vector<RunResult> run_ddpg_lockstep(std::span<env::SizingEnv* const> envs,
     throw std::invalid_argument(
         "run_ddpg_lockstep: envs, agents and steps must pair up");
   }
+  reject_aliased(agents, "run_ddpg_lockstep: an agent appears in two pairs");
   std::vector<RunResult> out(envs.size());
   if (envs.empty()) return out;
   for (const auto& members : group_by_service(envs)) {
@@ -204,28 +227,42 @@ void run_optimizer_lockstep_group(std::span<const OptimizerPair> pairs,
     SimLedger ledger;
     std::vector<std::vector<double>> xs;  // this round's (truncated) ask()
     std::vector<la::Mat> mats;            // unflattened, alive for the batch
+    std::vector<double> ys;               // this round's FoMs, for tell()
     bool done = false;
   };
   std::vector<PairState> state(members.size());
   std::vector<env::EvalJob> jobs;
   std::vector<std::size_t> asked;  // slots into `members`, pair order
+  std::vector<std::function<void()>> learn;
   for (;;) {
-    // Ask phase, pair order: every still-active optimizer proposes its
-    // population, truncated exactly as serial run_optimizer would; an
-    // exhausted pair drops out of the round instead of padding the batch.
-    jobs.clear();
+    // Ask phase: every pair with budget left proposes its population, one
+    // learner task per pair on the service's pool.
     asked.clear();
+    learn.clear();
     for (std::size_t k = 0; k < members.size(); ++k) {
       PairState& st = state[k];
       if (st.done) continue;
       const OptimizerPair& p = pairs[members[k]];
-      RunResult& res = out[members[k]];
+      const RunResult& res = out[members[k]];
       if (res.evals >= p.steps ||
           (p.max_sims >= 0 && res.sims >= p.max_sims)) {
         st.done = true;
         continue;
       }
-      st.xs = p.opt->ask();
+      learn.emplace_back([&st, opt = p.opt] { st.xs = opt->ask(); });
+      asked.push_back(k);
+    }
+    svc.run_parallel(learn);
+    // Truncation and job assembly, pair order, on the calling thread:
+    // each population is cut exactly as serial run_optimizer would; a pair
+    // with nothing to propose drops out instead of padding the batch.
+    jobs.clear();
+    std::size_t kept = 0;
+    for (std::size_t a = 0; a < asked.size(); ++a) {
+      const std::size_t k = asked[a];
+      PairState& st = state[k];
+      const OptimizerPair& p = pairs[members[k]];
+      const RunResult& res = out[members[k]];
       if (st.xs.empty()) {
         st.done = true;
         continue;
@@ -244,31 +281,34 @@ void run_optimizer_lockstep_group(std::span<const OptimizerPair> pairs,
         jobs.push_back(env::EvalJob{&p.env->bench(), &m,
                                     p.env->eval_attr()});
       }
-      asked.push_back(k);
+      asked[kept++] = k;
     }
+    asked.resize(kept);
     if (jobs.empty()) break;
     // One merged multi-circuit batch: all populations of the round for the
     // thread pool at once.
     const std::vector<env::EvalResult> results = svc.eval_batch_multi(jobs);
-    // Tell phase, pair order: commits and tell() are strictly per-pair, so
-    // sequencing them preserves serial run_optimizer semantics.
+    // Commit phase, pair order, on the calling thread; then tell(), one
+    // learner task per pair on the pool. Commits never depend on tell(),
+    // so this preserves serial run_optimizer semantics.
     std::size_t offset = 0;
+    learn.clear();
     for (const std::size_t k : asked) {
       PairState& st = state[k];
       const OptimizerPair& p = pairs[members[k]];
       RunResult& res = out[members[k]];
       const circuit::DesignSpace& space = p.env->bench().space;
-      std::vector<double> ys;
-      ys.reserve(st.xs.size());
+      st.ys.clear();
       for (std::size_t i = 0; i < st.xs.size(); ++i) {
         const env::EvalResult& r = results[offset + i];
-        ys.push_back(r.fom);
+        st.ys.push_back(r.fom);
         res.sims += st.ledger.charge(space, r.params);
         res.commit_flat(space, st.xs[i], r);
       }
-      p.opt->tell(st.xs, ys);
+      learn.emplace_back([&st, opt = p.opt] { opt->tell(st.xs, st.ys); });
       offset += st.xs.size();
     }
+    svc.run_parallel(learn);
   }
 }
 
@@ -279,14 +319,19 @@ std::vector<RunResult> run_optimizer_lockstep(
   std::vector<RunResult> out(pairs.size());
   if (pairs.empty()) return out;
   std::vector<env::SizingEnv*> envs;
+  std::vector<opt::Optimizer*> opts;
   envs.reserve(pairs.size());
+  opts.reserve(pairs.size());
   for (const OptimizerPair& p : pairs) {
     if (p.env == nullptr || p.opt == nullptr) {
       throw std::invalid_argument(
           "run_optimizer_lockstep: every pair needs an env and an optimizer");
     }
     envs.push_back(p.env);
+    opts.push_back(p.opt);
   }
+  reject_aliased(std::span<opt::Optimizer* const>(opts),
+                 "run_optimizer_lockstep: an optimizer appears in two pairs");
   for (const auto& members : group_by_service(envs)) {
     run_optimizer_lockstep_group(pairs, members, out);
   }

@@ -59,13 +59,22 @@ RunResult run_ddpg(env::SizingEnv& env, DdpgAgent& agent, int steps);
 
 // Lockstep multi-seed DDPG: step S independent (env, agent) pairs side by
 // side. Per step, the exploration actions of every still-active pair are
-// collected in pair order, submitted to the pairs' shared EvalService as
-// one multi-circuit batch (this is where the thread pool earns its keep —
-// DDPG is sequential within a seed but the seeds are independent), and the
-// observe()/commit() updates then run sequentially in pair order. Each
-// agent's RNG stream, replay history, and reward sequence are exactly what
-// serial run_ddpg would produce, so per-pair results are bit-identical to
-// S serial runs at any GCNRL_EVAL_THREADS.
+// collected in pair order and submitted to the pairs' shared EvalService
+// as one multi-circuit batch; then every pair's observe() runs as one task
+// on the same service's pool (EvalService::run_parallel), and the commits
+// follow on the calling thread in pair order. DDPG is sequential within a
+// seed but the seeds are independent, so both the simulations and the
+// learner updates spread over the pool. Each agent's RNG stream, replay
+// history, and reward sequence are exactly what serial run_ddpg would
+// produce, so per-pair results are bit-identical to S serial runs at any
+// GCNRL_EVAL_THREADS.
+//
+// Concurrency contract: distinct agents may observe() concurrently, so an
+// agent must appear in at most one pair (a repeat throws
+// std::invalid_argument), and observe() must not call into the
+// EvalService. An exception from observe() propagates after the step's
+// learner tasks finish; with several, the first failing pair's in pair
+// order.
 //
 // Pairs may mix circuits, technologies, and FoM specs freely. Pairs on
 // different EvalServices cannot share a batch, so they are transparently
@@ -75,7 +84,8 @@ RunResult run_ddpg(env::SizingEnv& env, DdpgAgent& agent, int steps);
 // batches instead of padding them with wasted simulations.
 //
 // Requirements: envs, agents (and steps, for the span overload) must have
-// equal sizes; throws std::invalid_argument otherwise.
+// equal sizes and the agents must be distinct; throws
+// std::invalid_argument otherwise.
 std::vector<RunResult> run_ddpg_lockstep(std::span<env::SizingEnv* const> envs,
                                          std::span<DdpgAgent* const> agents,
                                          std::span<const int> steps);
@@ -105,18 +115,24 @@ struct OptimizerPair {
 };
 
 // Lockstep multi-seed black-box driver, mirroring run_ddpg_lockstep: per
-// round, every still-active optimizer's ask() population (truncated to its
-// remaining budget) is merged into one multi-circuit batch on the pairs'
-// shared EvalService, then results are committed and tell() runs
-// sequentially in pair order. Ask/tell is sequential within a pair, but
-// the pairs are independent, so the thread pool finally parallelizes
-// black-box seed sweeps ACROSS seeds, not just within one population.
-// A pair drops out once its evaluation or simulated-cost budget is
-// exhausted or its ask() comes back empty. Pairs on different services
+// round, every still-active optimizer's ask() runs as one task on the
+// pairs' shared EvalService pool; the populations are then truncated to
+// their remaining budgets and merged, in pair order, into one
+// multi-circuit batch; results are committed in pair order on the calling
+// thread, and every pair's tell() runs as one pool task again. Ask/tell is
+// sequential within a pair, but the pairs are independent, so the thread
+// pool parallelizes black-box seed sweeps ACROSS seeds — both the
+// simulations and the optimizers' own work (the GP fit and predict of
+// BO/MACE). A pair drops out once its evaluation or simulated-cost budget
+// is exhausted or its ask() comes back empty. Pairs on different services
 // are grouped and the groups run back-to-back. Per-pair best_trace/sims
 // are bit-identical to serial run_optimizer at any GCNRL_EVAL_THREADS
 // (FoM values never depend on cache state, and each optimizer sees the
-// identical ask/tell sequence).
+// identical ask/tell sequence). The concurrency contract of
+// run_ddpg_lockstep applies to ask() and tell(): every pair needs its own
+// optimizer (a repeat throws std::invalid_argument), the calls must not
+// reach the EvalService, and the first failing pair's exception in pair
+// order propagates.
 std::vector<RunResult> run_optimizer_lockstep(
     std::span<const OptimizerPair> pairs);
 

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -18,7 +20,10 @@
 #include "circuits/benchmark_circuits.hpp"
 #include "env/eval_service.hpp"
 #include "env/sizing_env.hpp"
+#include "nn/module.hpp"
+#include "opt/bayes_opt.hpp"
 #include "opt/cma_es.hpp"
+#include "opt/mace.hpp"
 #include "rl/ddpg.hpp"
 #include "rl/run_loop.hpp"
 #include "sim/mna.hpp"
@@ -494,11 +499,22 @@ TEST(EvalService, DistinctCircuitsNeverAliasInTheSharedCache) {
 
 namespace {
 
+// Every actor and critic parameter value of an agent, in parameters()
+// order.
+std::vector<la::Mat> parameter_values(gcnrl::rl::DdpgAgent& agent) {
+  std::vector<la::Mat> values;
+  for (const gcnrl::nn::Parameter* p : agent.parameters()) {
+    values.push_back(p->value);
+  }
+  return values;
+}
+
 // One serial run_ddpg per seed, each on its own private env — the
-// reference the lockstep engine must reproduce bit-for-bit.
+// reference the lockstep engine must reproduce bit-for-bit. When `params`
+// is given, it receives each seed's final agent parameters.
 std::vector<gcnrl::rl::RunResult> serial_ddpg_runs(
     const gcnrl::rl::DdpgConfig& cfg, const std::vector<std::uint64_t>& seeds,
-    int steps) {
+    int steps, std::vector<std::vector<la::Mat>>* params = nullptr) {
   std::vector<gcnrl::rl::RunResult> out;
   for (const std::uint64_t seed : seeds) {
     env::SizingEnv e(make_synthetic(), env::IndexMode::OneHot,
@@ -506,6 +522,7 @@ std::vector<gcnrl::rl::RunResult> serial_ddpg_runs(
     gcnrl::rl::DdpgAgent agent(e.state(), e.adjacency(), e.kinds(), cfg,
                                Rng(seed));
     out.push_back(gcnrl::rl::run_ddpg(e, agent, steps));
+    if (params != nullptr) params->push_back(parameter_values(agent));
   }
   return out;
 }
@@ -526,7 +543,8 @@ void expect_lockstep_matches_serial(int threads) {
   const std::vector<std::uint64_t> seeds = {1000, 8919, 16838};
   const int steps = 30;
   const gcnrl::rl::DdpgConfig cfg = tiny_ddpg_config();
-  const auto serial = serial_ddpg_runs(cfg, seeds, steps);
+  std::vector<std::vector<la::Mat>> serial_params;
+  const auto serial = serial_ddpg_runs(cfg, seeds, steps, &serial_params);
 
   const auto svc =
       std::make_shared<env::EvalService>(config(threads, 256));
@@ -557,13 +575,27 @@ void expect_lockstep_matches_serial(int threads) {
     EXPECT_EQ(lockstep[s].best_fom, serial[s].best_fom);
     EXPECT_EQ(lockstep[s].best_metrics, serial[s].best_metrics);
     EXPECT_EQ(lockstep[s].evals, serial[s].evals);
+    // The learner state itself: every actor/critic weight after the
+    // concurrent observe() steps equals the serial agent's, bit for bit.
+    const std::vector<la::Mat> params = parameter_values(*agents[s]);
+    ASSERT_EQ(params.size(), serial_params[s].size());
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      const la::Mat& a = params[k];
+      const la::Mat& b = serial_params[s][k];
+      ASSERT_TRUE(a.same_shape(b));
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
+                0)
+          << "seed " << seeds[s] << " parameter " << k;
+    }
   }
 }
 
 }  // namespace
 
 // The acceptance criterion of the lockstep engine: per-seed best_trace
-// vectors bit-identical to serial run_ddpg, at 1 and at 4 eval threads.
+// vectors and final agent parameters bit-identical to serial run_ddpg, at
+// 1 and at 4 eval threads (at 4, the agents' observe() steps run
+// concurrently on the pool).
 TEST(Lockstep, DdpgTracesMatchSerialAtOneThread) {
   expect_lockstep_matches_serial(1);
 }
@@ -625,6 +657,21 @@ TEST(Lockstep, RejectsMismatchedSpans) {
   const std::vector<int> bad_steps = {1, 2};
   EXPECT_THROW(gcnrl::rl::run_ddpg_lockstep(envs, one, bad_steps),
                std::invalid_argument);
+}
+
+// Pairs step concurrently, so one agent in two pairs would race with
+// itself; the driver rejects it up front.
+TEST(Lockstep, RejectsAnAgentInTwoPairs) {
+  const auto svc = std::make_shared<env::EvalService>(config(2, 16));
+  env::SizingEnv a(make_synthetic(), env::IndexMode::OneHot, svc);
+  env::SizingEnv b(make_synthetic(), env::IndexMode::OneHot, svc);
+  gcnrl::rl::DdpgAgent agent(a.state(), a.adjacency(), a.kinds(),
+                             tiny_ddpg_config(), Rng(1));
+  std::vector<env::SizingEnv*> envs = {&a, &b};
+  std::vector<gcnrl::rl::DdpgAgent*> agents = {&agent, &agent};
+  EXPECT_THROW(gcnrl::rl::run_ddpg_lockstep(envs, agents, 2),
+               std::invalid_argument);
+  EXPECT_EQ(svc->requested(), 0);  // rejected before any evaluation
 }
 
 // Heterogeneous step budgets: a finished pair must drop out of later
@@ -782,34 +829,59 @@ TEST(RunOptimizer, SimChargeIsIndependentOfSharedCacheWarmth) {
 
 namespace {
 
+using OptimizerFactory =
+    std::function<std::unique_ptr<gcnrl::opt::Optimizer>(int dim, Rng rng)>;
+
+std::unique_ptr<gcnrl::opt::Optimizer> make_cmaes(int dim, Rng rng) {
+  return std::make_unique<gcnrl::opt::CmaEs>(dim, rng);
+}
+
+// The GP optimizers shrunk for the fast label: a few GP rounds past the
+// random warm-up, over small acquisition pools.
+std::unique_ptr<gcnrl::opt::Optimizer> make_small_bo(int dim, Rng rng) {
+  gcnrl::opt::BayesOptOptions o;
+  o.initial_random = 4;
+  o.acq_samples = 32;
+  o.refine_top = 2;
+  o.refine_iters = 4;
+  return std::make_unique<gcnrl::opt::BayesOpt>(dim, rng, o);
+}
+
+std::unique_ptr<gcnrl::opt::Optimizer> make_small_mace(int dim, Rng rng) {
+  gcnrl::opt::MaceOptions o;
+  o.initial_random = 4;
+  o.pool = 32;
+  return std::make_unique<gcnrl::opt::Mace>(dim, rng, o);
+}
+
 // Serial reference for the lockstep black-box driver: one run_optimizer
 // per seed, each on its own private env/service.
-std::vector<gcnrl::rl::RunResult> serial_cmaes_runs(
-    const std::vector<std::uint64_t>& seeds, int steps, long max_sims) {
+std::vector<gcnrl::rl::RunResult> serial_optimizer_runs(
+    const OptimizerFactory& make, const std::vector<std::uint64_t>& seeds,
+    int steps, long max_sims) {
   std::vector<gcnrl::rl::RunResult> out;
   for (const std::uint64_t seed : seeds) {
     env::SizingEnv e(make_synthetic(), env::IndexMode::OneHot,
                      config(1, 256));
-    gcnrl::opt::CmaEs es(e.flat_dim(), Rng(seed));
-    out.push_back(gcnrl::rl::run_optimizer(e, es, steps, max_sims));
+    const auto o = make(e.flat_dim(), Rng(seed));
+    out.push_back(gcnrl::rl::run_optimizer(e, *o, steps, max_sims));
   }
   return out;
 }
 
-void expect_optimizer_lockstep_matches_serial(int threads) {
+void expect_optimizer_lockstep_matches_serial(const OptimizerFactory& make,
+                                              int steps, int threads) {
   const std::vector<std::uint64_t> seeds = {1000, 8919, 16838};
-  const int steps = 100;
-  const auto serial = serial_cmaes_runs(seeds, steps, -1);
+  const auto serial = serial_optimizer_runs(make, seeds, steps, -1);
 
   const auto svc = std::make_shared<env::EvalService>(config(threads, 256));
   std::vector<std::unique_ptr<env::SizingEnv>> envs;
-  std::vector<std::unique_ptr<gcnrl::opt::CmaEs>> opts;
+  std::vector<std::unique_ptr<gcnrl::opt::Optimizer>> opts;
   std::vector<gcnrl::rl::OptimizerPair> pairs;
   for (const std::uint64_t seed : seeds) {
     envs.push_back(std::make_unique<env::SizingEnv>(
         make_synthetic(), env::IndexMode::OneHot, svc));
-    opts.push_back(std::make_unique<gcnrl::opt::CmaEs>(
-        envs.back()->flat_dim(), Rng(seed)));
+    opts.push_back(make(envs.back()->flat_dim(), Rng(seed)));
     pairs.push_back(gcnrl::rl::OptimizerPair{envs.back().get(),
                                              opts.back().get(), steps, -1});
   }
@@ -834,13 +906,31 @@ void expect_optimizer_lockstep_matches_serial(int threads) {
 
 // The acceptance criterion of the lockstep black-box driver: per-seed
 // traces and charged simulated costs bit-identical to serial
-// run_optimizer, at 1 and at 4 eval threads.
+// run_optimizer, at 1 and at 4 eval threads. At 4 threads the pairs'
+// ask()/tell() run concurrently on the pool; the GP optimizers are the
+// ones with real work (and state) in those calls.
 TEST(OptimizerLockstep, CmaEsTracesMatchSerialAtOneThread) {
-  expect_optimizer_lockstep_matches_serial(1);
+  expect_optimizer_lockstep_matches_serial(make_cmaes, 100, 1);
 }
 
 TEST(OptimizerLockstep, CmaEsTracesMatchSerialAtFourThreads) {
-  expect_optimizer_lockstep_matches_serial(4);
+  expect_optimizer_lockstep_matches_serial(make_cmaes, 100, 4);
+}
+
+TEST(OptimizerLockstep, BayesOptTracesMatchSerialAtOneThread) {
+  expect_optimizer_lockstep_matches_serial(make_small_bo, 12, 1);
+}
+
+TEST(OptimizerLockstep, BayesOptTracesMatchSerialAtFourThreads) {
+  expect_optimizer_lockstep_matches_serial(make_small_bo, 12, 4);
+}
+
+TEST(OptimizerLockstep, MaceTracesMatchSerialAtOneThread) {
+  expect_optimizer_lockstep_matches_serial(make_small_mace, 16, 1);
+}
+
+TEST(OptimizerLockstep, MaceTracesMatchSerialAtFourThreads) {
+  expect_optimizer_lockstep_matches_serial(make_small_mace, 16, 4);
 }
 
 // Heterogeneous simulated-cost budgets: an exhausted pair drops out of
@@ -869,7 +959,8 @@ TEST(OptimizerLockstep, ExhaustedPairsDropOutAndSimsShrink) {
   for (std::size_t s = 0; s < seeds.size(); ++s) {
     EXPECT_EQ(runs[s].sims, budgets[s]);
     sum_evals += runs[s].evals;
-    const auto serial = serial_cmaes_runs({seeds[s]}, steps, budgets[s]);
+    const auto serial =
+        serial_optimizer_runs(make_cmaes, {seeds[s]}, steps, budgets[s]);
     ASSERT_EQ(runs[s].best_trace.size(), serial[0].best_trace.size());
     for (std::size_t i = 0; i < serial[0].best_trace.size(); ++i) {
       EXPECT_EQ(runs[s].best_trace[i], serial[0].best_trace[i])
@@ -882,6 +973,114 @@ TEST(OptimizerLockstep, ExhaustedPairsDropOutAndSimsShrink) {
   // no batches with extra simulations.
   EXPECT_EQ(svc->sims(), sum_evals);
   EXPECT_EQ(svc->requested(), sum_evals);
+}
+
+TEST(OptimizerLockstep, RejectsAnOptimizerInTwoPairs) {
+  const auto svc = std::make_shared<env::EvalService>(config(2, 16));
+  env::SizingEnv a(make_synthetic(), env::IndexMode::OneHot, svc);
+  env::SizingEnv b(make_synthetic(), env::IndexMode::OneHot, svc);
+  gcnrl::opt::CmaEs es(a.flat_dim(), Rng(1));
+  const std::vector<gcnrl::rl::OptimizerPair> pairs = {{&a, &es, 10, -1},
+                                                       {&b, &es, 10, -1}};
+  EXPECT_THROW(gcnrl::rl::run_optimizer_lockstep(pairs),
+               std::invalid_argument);
+  EXPECT_EQ(svc->requested(), 0);  // rejected before any evaluation
+}
+
+namespace {
+
+// CMA-ES whose tell() throws, tagged with its pair, once it has been told
+// `fail_after` populations (never when negative).
+class FailingTell final : public gcnrl::opt::Optimizer {
+ public:
+  FailingTell(int dim, std::uint64_t seed, int fail_after, std::string tag)
+      : es_(dim, Rng(seed)), fail_after_(fail_after), tag_(std::move(tag)) {}
+  std::vector<std::vector<double>> ask() override { return es_.ask(); }
+  void tell(const std::vector<std::vector<double>>& xs,
+            const std::vector<double>& ys) override {
+    if (tells_++ == fail_after_) throw std::runtime_error(tag_);
+    es_.tell(xs, ys);
+  }
+  [[nodiscard]] int dim() const override { return es_.dim(); }
+
+ private:
+  gcnrl::opt::CmaEs es_;
+  int fail_after_;
+  int tells_ = 0;
+  std::string tag_;
+};
+
+void expect_first_failing_tell_propagates(int threads) {
+  const auto svc = std::make_shared<env::EvalService>(config(threads, 64));
+  // Pairs 1 and 3 fail in the same round; pair 1's exception must win
+  // however the pool schedules the tell() tasks.
+  const std::vector<int> fail_after = {-1, 2, -1, 2};
+  std::vector<std::unique_ptr<env::SizingEnv>> envs;
+  std::vector<std::unique_ptr<FailingTell>> opts;
+  std::vector<gcnrl::rl::OptimizerPair> pairs;
+  for (std::size_t s = 0; s < fail_after.size(); ++s) {
+    envs.push_back(std::make_unique<env::SizingEnv>(
+        make_synthetic(), env::IndexMode::OneHot, svc));
+    opts.push_back(std::make_unique<FailingTell>(
+        envs.back()->flat_dim(), 100 + s, fail_after[s],
+        "tell failed in pair " + std::to_string(s)));
+    pairs.push_back(gcnrl::rl::OptimizerPair{envs.back().get(),
+                                             opts.back().get(), 200, -1});
+  }
+  try {
+    gcnrl::rl::run_optimizer_lockstep(pairs);
+    ADD_FAILURE() << "expected the failing tell() to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "tell failed in pair 1");
+  }
+}
+
+}  // namespace
+
+TEST(OptimizerLockstep, FirstFailingTellInPairOrderPropagatesAtOneThread) {
+  expect_first_failing_tell_propagates(1);
+}
+
+TEST(OptimizerLockstep, FirstFailingTellInPairOrderPropagatesAtFourThreads) {
+  expect_first_failing_tell_propagates(4);
+}
+
+// --- learner tasks on the eval pool --------------------------------------
+
+TEST(EvalService, RunParallelRunsEveryTaskAndRethrowsTheFirstFailure) {
+  env::EvalService svc(config(4, 16));
+  std::vector<int> ran(16, 0);
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    tasks.emplace_back([&ran, i] {
+      ran[i] = 1;
+      if (i == 5 || i == 11) throw std::runtime_error(std::to_string(i));
+    });
+  }
+  try {
+    svc.run_parallel(tasks);
+    ADD_FAILURE() << "expected a task exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "5");
+  }
+  for (std::size_t i = 0; i < ran.size(); ++i) EXPECT_EQ(ran[i], 1) << i;
+}
+
+// A task on a pool worker that calls back into the service would wait on
+// its own pool; it must fail fast with std::logic_error instead of
+// deadlocking or clobbering the running batch, and leave the pool usable.
+TEST(EvalService, ReentrantCallFromAPoolWorkerThrowsLogicError) {
+  const auto bc = make_synthetic();
+  const la::Mat x = bc.space.actions_from_params(bc.human_expert);
+  env::EvalService svc(config(2, 16));
+  const std::vector<std::function<void()>> nested_run = {
+      [&svc] { svc.run_parallel(std::vector<std::function<void()>>(1, [] {})); }};
+  EXPECT_THROW(svc.run_parallel(nested_run), std::logic_error);
+  const std::vector<std::function<void()>> nested_eval = {
+      [&] { svc.eval_one(bc, x); }};
+  EXPECT_THROW(svc.run_parallel(nested_eval), std::logic_error);
+  // The pool still serves batches afterwards.
+  EXPECT_TRUE(svc.eval_one(bc, x).sim_ok);
 }
 
 // --- real circuit through the thread pool (TSan coverage) ----------------

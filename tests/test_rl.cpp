@@ -1,9 +1,15 @@
 // Tests for the RL stack: replay buffer, exploration noise, actor/critic
-// networks, the DDPG agent on a synthetic bandit, and weight transfer.
+// networks, the streamed critic step against its whole-batch reference,
+// the DDPG agent on a synthetic bandit, and weight transfer.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "autograd/ops.hpp"
+#include "nn/gcn.hpp"
 #include "rl/ddpg.hpp"
 #include "rl/networks.hpp"
 #include "rl/noise.hpp"
@@ -266,4 +272,98 @@ TEST(Ddpg, GcnVariantUsesTopology) {
     for (int j = 0; j < x1.cols(); ++j) diff += std::fabs(x1(i, j) - x2(i, j));
   }
   EXPECT_GT(diff, 1e-9);
+}
+
+namespace {
+
+// Whole-batch reference for rl::critic_backward: every sample's graph on
+// one tape, the per-sample losses summed, scaled by 1/B, one backward.
+void critic_backward_reference(rl::GcnCritic& critic, const la::Mat& state,
+                               const la::Mat& a_hat,
+                               const rl::TypeMasks& masks,
+                               const std::vector<const rl::Transition*>& batch,
+                               double baseline) {
+  namespace ag = gcnrl::ag;
+  ag::Tape tape;
+  ag::Var loss;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ag::Var q = critic.forward(tape, tape.constant(state),
+                               tape.constant(batch[i]->actions), a_hat, masks);
+    la::Mat target(1, 1);
+    target(0, 0) = batch[i]->reward - baseline;
+    ag::Var l = ag::mse_const(q, target);
+    loss = i == 0 ? l : ag::add(loss, l);
+  }
+  loss = ag::scale(loss, 1.0 / static_cast<double>(batch.size()));
+  tape.backward(loss);
+}
+
+// Two identically initialized critics, one through the streamed step and
+// one through the reference: every Parameter::grad must match bit for bit.
+void expect_streamed_critic_matches_reference(
+    const std::vector<std::size_t>& picks) {
+  Toy toy;
+  rl::NetworkConfig cfg;
+  cfg.state_dim = toy.state.cols();
+  cfg.hidden = 16;
+  cfg.gcn_layers = 3;
+  Rng init_a(21);
+  Rng init_b(21);
+  rl::GcnCritic streamed(cfg, init_a);
+  rl::GcnCritic reference(cfg, init_b);
+  const auto masks = rl::make_type_masks(toy.kinds, cfg.hidden);
+  const la::Mat ahat = gcnrl::nn::normalized_adjacency(toy.adjacency);
+
+  Rng rng(22);
+  std::vector<rl::Transition> pool(40);
+  for (rl::Transition& t : pool) {
+    t.actions = la::Mat(toy.n, gcnrl::circuit::kMaxActionDim);
+    for (int i = 0; i < t.actions.rows(); ++i) {
+      for (int j = 0; j < t.actions.cols(); ++j) {
+        t.actions(i, j) = rng.uniform(-1.0, 1.0);
+      }
+    }
+    t.reward = toy.reward(t.actions);
+  }
+  std::vector<const rl::Transition*> batch;
+  for (const std::size_t p : picks) batch.push_back(&pool[p]);
+  const double baseline = -1.25;
+
+  rl::critic_backward(streamed, toy.state, ahat, masks, batch, baseline);
+  critic_backward_reference(reference, toy.state, ahat, masks, batch,
+                            baseline);
+  const auto ps = streamed.parameters();
+  const auto pr = reference.parameters();
+  ASSERT_EQ(ps.size(), pr.size());
+  double grad_norm = 0.0;
+  for (std::size_t k = 0; k < ps.size(); ++k) {
+    ASSERT_TRUE(ps[k]->grad.same_shape(pr[k]->grad)) << ps[k]->name;
+    for (std::size_t e = 0; e < ps[k]->grad.size(); ++e) {
+      const double s = ps[k]->grad.data()[e];
+      const double r = pr[k]->grad.data()[e];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s),
+                std::bit_cast<std::uint64_t>(r))
+          << ps[k]->name << "[" << e << "]: " << s << " vs " << r;
+      grad_norm += s * s;
+    }
+  }
+  EXPECT_GT(grad_norm, 0.0);  // the comparison must not be vacuous
+}
+
+}  // namespace
+
+TEST(CriticBackward, StreamedMatchesWholeBatchTapeForOneSample) {
+  expect_streamed_critic_matches_reference({7});
+}
+
+TEST(CriticBackward, StreamedMatchesWholeBatchTapeForFullBatch) {
+  std::vector<std::size_t> picks(32);
+  for (std::size_t i = 0; i < picks.size(); ++i) picks[i] = (5 * i + 3) % 40;
+  expect_streamed_critic_matches_reference(picks);
+}
+
+TEST(CriticBackward, StreamedMatchesWholeBatchTapeWithRepeatedSamples) {
+  // Replay sampling is with replacement, so one transition can appear in a
+  // batch several times, adjacent or not.
+  expect_streamed_critic_matches_reference({2, 5, 2, 2, 9, 5, 0, 2, 9, 9});
 }
