@@ -222,6 +222,11 @@ struct GcirPort {
   const char* file;     // repo-relative .gcir path
 };
 
+// Names the case by its builder. Without this gtest prints the raw struct
+// bytes — two string-literal addresses — so the test name CTest discovers
+// changes with every build and every address-space layout.
+void PrintTo(const GcirPort& p, std::ostream* os) { *os << p.builtin; }
+
 class GcirParityTest : public ::testing::TestWithParam<GcirPort> {};
 
 void expect_bitwise_metrics(const env::MetricMap& a, const env::MetricMap& b,
