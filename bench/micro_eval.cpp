@@ -125,6 +125,8 @@ void BM_SingleEval_PerAnalysis(benchmark::State& state, const char* name) {
   phase_rows("ac", p.ac);
   phase_rows("noise", p.noise);
   phase_rows("tran", p.tran);
+  // AC/noise sweeps that split a frequency block (sim::AnalysisPerf);
+  // DC and transient never add to it.
   c["sparse_fallbacks"] =
       static_cast<double>(p.dc.sparse_fallbacks + p.ac.sparse_fallbacks +
                           p.noise.sparse_fallbacks + p.tran.sparse_fallbacks);

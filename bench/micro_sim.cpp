@@ -57,64 +57,16 @@ void BM_AcSweep_TwoTia_97pts(benchmark::State& state) {
 }
 BENCHMARK(BM_AcSweep_TwoTia_97pts);
 
-// AC matrix assembly alone, legacy (full netlist walk per frequency)
-// vs split (G/C stamps built once, Y = G + j*omega*C per frequency) —
-// the per-sweep-point cost the G/C refactor removes.
-void BM_AcAssemblyLegacy_TwoTia_97pts(benchmark::State& state) {
-  auto bc = circuits::make_two_tia(kTech);
-  circuit::Netlist nl = bc.netlist;
-  bc.space.apply(nl, bc.human_expert);
-  sim::Simulator s(nl, kTech);
-  const sim::OpPoint op = s.op();
-  const auto freqs = sim::logspace(1e3, 1e11, 97);
-  for (auto _ : state) {
-    for (const double f : freqs) {
-      benchmark::DoNotOptimize(
-          sim::build_ac_matrix(s.context(), op, 2.0 * M_PI * f)(0, 0));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(freqs.size()));
-}
-BENCHMARK(BM_AcAssemblyLegacy_TwoTia_97pts);
-
-void BM_AcAssemblySplit_TwoTia_97pts(benchmark::State& state) {
-  auto bc = circuits::make_two_tia(kTech);
-  circuit::Netlist nl = bc.netlist;
-  bc.space.apply(nl, bc.human_expert);
-  sim::Simulator s(nl, kTech);
-  const sim::OpPoint op = s.op();
-  const auto freqs = sim::logspace(1e3, 1e11, 97);
-  for (auto _ : state) {
-    const sim::AcStamps stamps = sim::build_ac_stamps(s.context(), op);
-    for (const double f : freqs) {
-      benchmark::DoNotOptimize(
-          sim::assemble_ac_matrix(stamps, 2.0 * M_PI * f)(0, 0));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(freqs.size()));
-}
-BENCHMARK(BM_AcAssemblySplit_TwoTia_97pts);
-
-// --- sparse vs dense engine rows -------------------------------------
+// --- per-circuit engine rows ----------------------------------------
 //
-// One DC row and one AC row per registered circuit and engine. Each row
-// reports the system size (dim, nnz) and the measured per-solve phase
-// split (assembly / factor / solve, in ns) from the sim-perf registry,
-// so a regression in any single phase is visible directly in CI's
-// BENCH_micro_sim.json instead of hiding inside a total.
-class SparseEngineGuard {
- public:
-  explicit SparseEngineGuard(bool on) : prev_(sim::sparse_engine_enabled()) {
-    sim::set_sparse_engine_enabled(on);
-  }
-  ~SparseEngineGuard() { sim::set_sparse_engine_enabled(prev_); }
-
- private:
-  bool prev_;
-};
-
+// One DC row and one AC row per registered circuit. Each row reports the
+// system size (dim, nnz) and the measured per-solve phase split
+// (assembly / factor / solve, in ns) from the sim-perf registry, so a
+// regression in any single phase is visible directly in CI's
+// BENCH_micro_sim.json instead of hiding inside a total. The
+// sparse_fallbacks counter is the number of AC sweeps that split a
+// frequency block (see sim::AnalysisPerf); it is 0 on these expert
+// sizings.
 void report_phase_counters(benchmark::State& state, const sim::MnaStructure& st,
                            const sim::AnalysisPerf& perf) {
   state.counters["dim"] = static_cast<double>(st.pattern.n);
@@ -128,11 +80,10 @@ void report_phase_counters(benchmark::State& state, const sim::MnaStructure& st,
       static_cast<double>(perf.sparse_fallbacks);
 }
 
-void BM_DcEngine(benchmark::State& state, const char* name, bool sparse) {
+void BM_DcEngine(benchmark::State& state, const char* name) {
   auto bc = circuits::make_benchmark(name, kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
-  SparseEngineGuard guard(sparse);
   sim::sim_perf_reset();
   for (auto _ : state) {
     sim::Simulator s(nl, kTech);
@@ -142,20 +93,15 @@ void BM_DcEngine(benchmark::State& state, const char* name, bool sparse) {
   sim::Simulator s(nl, kTech);
   report_phase_counters(state, *s.context().structure, snap.dc);
 }
-BENCHMARK_CAPTURE(BM_DcEngine, two_tia_sparse, "Two-TIA", true);
-BENCHMARK_CAPTURE(BM_DcEngine, two_tia_dense, "Two-TIA", false);
-BENCHMARK_CAPTURE(BM_DcEngine, two_volt_sparse, "Two-Volt", true);
-BENCHMARK_CAPTURE(BM_DcEngine, two_volt_dense, "Two-Volt", false);
-BENCHMARK_CAPTURE(BM_DcEngine, three_tia_sparse, "Three-TIA", true);
-BENCHMARK_CAPTURE(BM_DcEngine, three_tia_dense, "Three-TIA", false);
-BENCHMARK_CAPTURE(BM_DcEngine, ldo_sparse, "LDO", true);
-BENCHMARK_CAPTURE(BM_DcEngine, ldo_dense, "LDO", false);
+BENCHMARK_CAPTURE(BM_DcEngine, two_tia, "Two-TIA");
+BENCHMARK_CAPTURE(BM_DcEngine, two_volt, "Two-Volt");
+BENCHMARK_CAPTURE(BM_DcEngine, three_tia, "Three-TIA");
+BENCHMARK_CAPTURE(BM_DcEngine, ldo, "LDO");
 
-void BM_AcEngine(benchmark::State& state, const char* name, bool sparse) {
+void BM_AcEngine(benchmark::State& state, const char* name) {
   auto bc = circuits::make_benchmark(name, kTech);
   circuit::Netlist nl = bc.netlist;
   bc.space.apply(nl, bc.human_expert);
-  SparseEngineGuard guard(sparse);
   sim::Simulator s(nl, kTech);
   s.op();
   const auto freqs = sim::logspace(1e3, 1e11, 97);
@@ -166,14 +112,10 @@ void BM_AcEngine(benchmark::State& state, const char* name, bool sparse) {
   const sim::SimPerf snap = sim::sim_perf_snapshot();
   report_phase_counters(state, *s.context().structure, snap.ac);
 }
-BENCHMARK_CAPTURE(BM_AcEngine, two_tia_sparse, "Two-TIA", true);
-BENCHMARK_CAPTURE(BM_AcEngine, two_tia_dense, "Two-TIA", false);
-BENCHMARK_CAPTURE(BM_AcEngine, two_volt_sparse, "Two-Volt", true);
-BENCHMARK_CAPTURE(BM_AcEngine, two_volt_dense, "Two-Volt", false);
-BENCHMARK_CAPTURE(BM_AcEngine, three_tia_sparse, "Three-TIA", true);
-BENCHMARK_CAPTURE(BM_AcEngine, three_tia_dense, "Three-TIA", false);
-BENCHMARK_CAPTURE(BM_AcEngine, ldo_sparse, "LDO", true);
-BENCHMARK_CAPTURE(BM_AcEngine, ldo_dense, "LDO", false);
+BENCHMARK_CAPTURE(BM_AcEngine, two_tia, "Two-TIA");
+BENCHMARK_CAPTURE(BM_AcEngine, two_volt, "Two-Volt");
+BENCHMARK_CAPTURE(BM_AcEngine, three_tia, "Three-TIA");
+BENCHMARK_CAPTURE(BM_AcEngine, ldo, "LDO");
 
 void BM_FullEval(benchmark::State& state, const char* name) {
   auto bc = circuits::make_benchmark(name, kTech);

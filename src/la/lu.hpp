@@ -1,10 +1,10 @@
 // LU decomposition with partial pivoting, templated over double /
 // std::complex<double>.
 //
-// The circuit simulator factors one MNA matrix per Newton iteration (DC,
-// transient) or per frequency point (AC, noise) and then back-substitutes
-// one or more right-hand sides; the factor-once / solve-many split below
-// is what makes per-noise-source adjoint solves cheap.
+// The dense reference for la::SparseLu / la::SparseSweepLu (the
+// simulator's MNA engine) in the tests, and a general one-shot solver.
+// Factor once, then solve one or more right-hand sides (A x = b, A^T x =
+// b, A^H x = b).
 #pragma once
 
 #include <cmath>
@@ -23,10 +23,6 @@ struct SingularMatrixError : std::runtime_error {
 template <typename T>
 class Lu {
  public:
-  // Empty Lu for deferred factorization via factor_copy(); solving before
-  // a successful factor_copy() is undefined.
-  Lu() = default;
-
   explicit Lu(Matrix<T> a) : lu_(std::move(a)), piv_(lu_.rows()) {
     if (lu_.rows() != lu_.cols()) {
       throw std::invalid_argument("Lu: matrix must be square");
@@ -34,48 +30,13 @@ class Lu {
     factor();
   }
 
-  // Re-factor from a fresh matrix, reusing this object's storage — the
-  // Newton-loop variant of the constructor: after the first call no heap
-  // allocation happens when the dimension is unchanged.
-  void factor_copy(const Matrix<T>& a) {
-    if (a.rows() != a.cols()) {
-      throw std::invalid_argument("Lu: matrix must be square");
-    }
-    lu_ = a;
-    piv_.resize(lu_.rows());
-    factor();
-  }
-
-  // Copy-free variant: swaps `a` into this Lu and factors it. On return,
-  // `a` holds the previous factor storage (garbage values, but the right
-  // shape after the first round trip) for the caller to re-zero and
-  // re-assemble — the Newton loop ping-pongs the two buffers with no
-  // allocation and no O(n^2) copy, exactly matching the arithmetic of
-  // constructing a fresh Lu from a moved-in matrix.
-  void factor_swap(Matrix<T>& a) {
-    if (a.rows() != a.cols()) {
-      throw std::invalid_argument("Lu: matrix must be square");
-    }
-    std::swap(lu_, a);
-    piv_.resize(lu_.rows());
-    factor();
-  }
-
   // Solve A x = b for a single RHS vector (b.size() == n).
   std::vector<T> solve(const std::vector<T>& b) const {
-    std::vector<T> x;
-    solve_into(b, x);
-    return x;
-  }
-
-  // Allocation-free solve: x is resized to n and overwritten. x must not
-  // alias b.
-  void solve_into(const std::vector<T>& b, std::vector<T>& x) const {
     const int n = lu_.rows();
     if (static_cast<int>(b.size()) != n) {
       throw std::invalid_argument("Lu::solve: RHS size mismatch");
     }
-    x.resize(n);
+    std::vector<T> x(n);
     for (int i = 0; i < n; ++i) x[i] = b[piv_[i]];
     // Forward substitution (L has unit diagonal).
     for (int i = 0; i < n; ++i) {
@@ -86,21 +47,12 @@ class Lu {
       for (int j = i + 1; j < n; ++j) x[i] -= lu_(i, j) * x[j];
       x[i] /= lu_(i, i);
     }
-  }
-
-  // Solve A^T x = b (real) / A^H x = b when conjugate=true (complex); used
-  // by the adjoint method in noise analysis.
-  std::vector<T> solve_transposed(const std::vector<T>& b,
-                                  bool conjugate = false) const {
-    std::vector<T> x;
-    solve_transposed_into(b, x, conjugate);
     return x;
   }
 
-  // Allocation-free transposed solve (after the first call on this Lu).
-  // x is resized to n and overwritten; x must not alias b.
-  void solve_transposed_into(const std::vector<T>& b, std::vector<T>& x,
-                             bool conjugate = false) const {
+  // Solve A^T x = b (real) / A^H x = b when conjugate=true (complex).
+  std::vector<T> solve_transposed(const std::vector<T>& b,
+                                  bool conjugate = false) const {
     const int n = lu_.rows();
     if (static_cast<int>(b.size()) != n) {
       throw std::invalid_argument("Lu::solve_transposed: RHS size mismatch");
@@ -115,8 +67,7 @@ class Lu {
     };
     // A = P^T L U  =>  A^T = U^T L^T P. Solve U^T y = b, L^T z = y,
     // then x = P^T z (i.e. x[piv[i]] = z[i]).
-    std::vector<T>& y = scratch_;
-    y.assign(b.begin(), b.end());
+    std::vector<T> y(b);
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < i; ++j) y[i] -= elem(j, i) * y[j];
       y[i] /= elem(i, i);
@@ -124,8 +75,9 @@ class Lu {
     for (int i = n - 1; i >= 0; --i) {
       for (int j = i + 1; j < n; ++j) y[i] -= elem(j, i) * y[j];
     }
-    x.resize(n);
+    std::vector<T> x(n);
     for (int i = 0; i < n; ++i) x[piv_[i]] = y[i];
+    return x;
   }
 
   [[nodiscard]] int size() const { return lu_.rows(); }
@@ -170,11 +122,6 @@ class Lu {
 
   Matrix<T> lu_;
   std::vector<int> piv_;
-  // Reusable work vector for solve_transposed_into; mutable because the
-  // solves are logically const. Lu objects are not shared across threads
-  // (each SimContext/eval worker owns its own), matching the rest of the
-  // simulator's threading contract.
-  mutable std::vector<T> scratch_;
 };
 
 // Convenience one-shot solvers.

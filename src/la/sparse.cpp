@@ -452,10 +452,9 @@ SparseSweepLu::SparseSweepLu(const SparsePattern& pattern)
   vals0_.resize(pattern.nnz());
 }
 
-bool SparseSweepLu::factor_block(const double* gvals, const double* cvals,
-                                 const double* omega, int count) {
+int SparseSweepLu::factor_block(const double* gvals, const double* cvals,
+                                const double* omega, int count) {
   assert(count >= 1 && count <= kMaxLanes);
-  lanes_ = count;
 
   // Fast path: a previous block (or sweep) already chose a pivot order
   // and fill pattern. The blocked refactor reads only scalar_'s symbolic
@@ -463,7 +462,8 @@ bool SparseSweepLu::factor_block(const double* gvals, const double* cvals,
   // be skipped entirely while the recorded pivots keep passing the
   // per-lane acceptance tests.
   if (scalar_.symbolic_ok_) {
-    if (refactor_lanes(gvals, cvals, omega, count)) return true;
+    lanes_ = refactor_lanes(gvals, cvals, omega, count);
+    if (lanes_ == count) return count;
     ++scalar_.repivots_;  // a lane rejected the recorded pivot order
   }
 
@@ -477,12 +477,20 @@ bool SparseSweepLu::factor_block(const double* gvals, const double* cvals,
     vals0_[s] = cd(gvals[s], omega[0] * cvals[s]);
   }
   scalar_.invalidate();
-  if (!scalar_.factor_values(vals0_.data())) return false;
-  return refactor_lanes(gvals, cvals, omega, count);
+  if (!scalar_.factor_values(vals0_.data())) {
+    lanes_ = 0;
+    return 0;
+  }
+  lanes_ = refactor_lanes(gvals, cvals, omega, count);
+  // Split block: the first rejected lane fails these pivots by
+  // construction, so the next block (which starts there) skips straight
+  // to a fresh pivot search.
+  if (lanes_ < count) scalar_.invalidate();
+  return lanes_;
 }
 
-bool SparseSweepLu::refactor_lanes(const double* gvals, const double* cvals,
-                                   const double* omega, int count) {
+int SparseSweepLu::refactor_lanes(const double* gvals, const double* cvals,
+                                  const double* omega, int count) {
   constexpr int K = kMaxLanes;
   const int n = scalar_.n_;
   const int nnz = scalar_.pat_->nnz();
@@ -519,6 +527,9 @@ bool SparseSweepLu::refactor_lanes(const double* gvals, const double* cvals,
   // over the assembled values.
   double amax2[K] = {0.0};
   double umax2[K] = {0.0};
+  // Leading lanes still passing every check; padded lanes (f >= count)
+  // can never lower it below count.
+  int good = count;
   for (int s = 0; s < nnz; ++s) {
     const double gr = gvals[s];
     const double cc = cvals[s];
@@ -564,7 +575,8 @@ bool SparseSweepLu::refactor_lanes(const double* gvals, const double* cvals,
     }
     // Per-lane pivot check (squared-magnitude form of SparseLu's test;
     // pm2 == 0 additionally rejects pivots below the |.|^2 underflow
-    // floor, which the dense fallback then handles).
+    // floor). A rejected lane keeps computing — lanes never mix, so its
+    // garbage cannot reach the others — and only caps the leading count.
     const double* pr = xre + (static_cast<size_t>(perm[j]) * K);
     const double* pi = xim + (static_cast<size_t>(perm[j]) * K);
     double* dr = dre + (static_cast<size_t>(j) * K);
@@ -588,11 +600,12 @@ bool SparseSweepLu::refactor_lanes(const double* gvals, const double* cvals,
     for (int f = 0; f < K; ++f) {
       if (pm2[f] < kSparsePivotRel * kSparsePivotRel * cm2[f] ||
           pm2[f] <= 0.0) {
-        return false;
+        good = std::min(good, f);
       }
       umax2[f] = std::max(umax2[f], pm2[f]);
       inv[f] = 1.0 / pm2[f];
     }
+    if (good == 0) return 0;
     for (int e = lptr[j]; e < lptr[j + 1]; ++e) {
       const size_t r = static_cast<size_t>(lrow[e]) * K;
       lanes_norm(lre + (static_cast<size_t>(e) * K),
@@ -603,10 +616,10 @@ bool SparseSweepLu::refactor_lanes(const double* gvals, const double* cvals,
 
   for (int f = 0; f < K; ++f) {
     if (umax2[f] > kSparseGrowthLimit * kSparseGrowthLimit * amax2[f]) {
-      return false;
+      good = std::min(good, f);
     }
   }
-  return true;
+  return good;
 }
 
 void SparseSweepLu::solve_block(const cd* b, cd* out, int stride) const {

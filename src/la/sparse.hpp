@@ -26,8 +26,12 @@
 // Numerical safety contract: factor_values() returns false when neither
 // the recorded pivots nor a fresh pivot search produce an acceptable
 // factorization (singular matrix, or element growth past
-// kSparseGrowthLimit). Callers fall back to the dense la::Lu path, which
-// is bitwise the legacy behaviour.
+// kSparseGrowthLimit). The simulator treats that as a failed Newton
+// attempt (DC) or a SimError naming the time point (transient). The sweep
+// engine factors only the leading lanes a block's pivot order accepts, so
+// the AC/noise sweeps restart the next block — with fresh pivots — at the
+// first rejected frequency, and fail only when a block's first frequency
+// itself cannot be factored.
 #pragma once
 
 #include <cmath>
@@ -82,8 +86,8 @@ class SparseLu {
   Status refactor(const T* vals);
   // refactor() when a symbolic factorization exists, transparently
   // re-pivoting via factor() when the pivot check rejects the recorded
-  // order. Returns false when the matrix cannot be factored acceptably —
-  // the caller's cue to fall back to dense la::Lu.
+  // order. Returns false when the matrix cannot be factored acceptably
+  // (singular, or too much element growth).
   bool factor_values(const T* vals);
   // Drops the recorded symbolic factorization: the next factor_values()
   // chooses pivots from scratch. Used to keep warm-start fallback paths
@@ -164,10 +168,13 @@ using SparseLuC = SparseLu<std::complex<double>>;
 // a scalar complex factorization at the block's first frequency — on a
 // log-spaced grid adjacent points have nearly identical magnitudes, so
 // the fixed pivots hold across the block (guarded per lane by the same
-// threshold pivot check as SparseLu::refactor). The numeric refactor and
-// the triangular solves store values as split re/im arrays with the
-// frequency lane as the fastest-varying index, so the inner loops are
-// straight-line lane sweeps the compiler auto-vectorizes.
+// threshold pivot check as SparseLu::refactor). When a later lane rejects
+// the pivots chosen at the block's first frequency, the block is split:
+// only the leading lanes that passed are factored, and the caller starts
+// its next block at the rejected frequency, which re-pivots there. The
+// numeric refactor and the triangular solves store values as split re/im
+// arrays with the frequency lane as the fastest-varying index, so the
+// inner loops are straight-line lane sweeps the compiler auto-vectorizes.
 class SparseSweepLu {
  public:
   static constexpr int kMaxLanes = 8;
@@ -175,16 +182,20 @@ class SparseSweepLu {
 
   explicit SparseSweepLu(const SparsePattern& pattern);
 
-  // Factors Y_f = G + j*omega[f]*C for lanes f = 0..count-1. gvals/cvals
-  // are pattern-aligned real value arrays. Returns false when any lane
-  // fails the pivot acceptance test (or the block's scalar factorization
-  // fails outright) — the caller's cue to run the sweep densely.
-  bool factor_block(const double* gvals, const double* cvals,
-                    const double* omega, int count);
+  // Factors Y_f = G + j*omega[f]*C for the leading lanes f = 0..k-1 of
+  // the count requested and returns k. gvals/cvals are pattern-aligned
+  // real value arrays. The recorded pivot order is tried first; if any
+  // lane rejects it, pivots are chosen afresh at omega[0] and k is the
+  // number of leading lanes that pass the pivot and growth checks under
+  // them (k < count splits the block; the next call should start at lane
+  // k's frequency, and re-pivots there). Returns 0 only when omega[0]
+  // itself cannot be factored (singular, or too much growth).
+  int factor_block(const double* gvals, const double* cvals,
+                   const double* omega, int count);
 
-  // Solve Y_f x_f = b for every lane of the last factor_block; x_f is
-  // written to out + f*stride (stride >= n). The RHS is shared across
-  // lanes, matching the AC/noise sweeps whose excitation is
+  // Solve Y_f x_f = b for every factored lane of the last factor_block;
+  // x_f is written to out + f*stride (stride >= n). The RHS is shared
+  // across lanes, matching the AC/noise sweeps whose excitation is
   // frequency-independent.
   void solve_block(const cd* b, cd* out, int stride) const;
   // Adjoint solves: Y_f^T x_f = b (conjugate=false), as used by the
@@ -198,10 +209,11 @@ class SparseSweepLu {
   [[nodiscard]] long repivots() const { return scalar_.repivots(); }
 
  private:
-  // Blocked refactor over scalar_'s current pivot order. Returns false
-  // when any lane fails the pivot-acceptance or growth test.
-  bool refactor_lanes(const double* gvals, const double* cvals,
-                      const double* omega, int count);
+  // Blocked refactor over scalar_'s current pivot order. Returns the
+  // number of leading lanes (of count) that pass the pivot-acceptance and
+  // growth tests.
+  int refactor_lanes(const double* gvals, const double* cvals,
+                     const double* omega, int count);
 
   SparseLu<cd> scalar_;  // symbolic owner; factored only to (re)pivot
   int lanes_ = 0;

@@ -3,7 +3,10 @@
 // Linearizes every MOSFET at the DC operating point (gm VCCS, gds, and the
 // four capacitances) and solves the complex MNA system Y(w) x = rhs at
 // each frequency, where rhs carries the `ac` magnitudes of the independent
-// sources. Results are node-voltage phasors per frequency.
+// sources. Results are node-voltage phasors per frequency. Y = G + j*w*C
+// is split once per operating point (sim::assemble_ac_gc) and the sweep
+// is factored in blocks of frequencies by la::SparseSweepLu. Throws
+// SimError naming the frequency when Y cannot be factored there.
 #pragma once
 
 #include <complex>
@@ -24,30 +27,6 @@ struct AcResult {
     return v(f_index, p) - v(f_index, n);
   }
 };
-
-// Frequency-independent split of the small-signal MNA system:
-//   Y(omega) = G + j*omega*C
-// G carries everything resistive (resistor conductances, gm/gds stamps,
-// voltage-source branch rows, the regularization shunt); C carries every
-// capacitance (explicit capacitors plus the four MOS caps). Both are
-// built once per operating point by a single netlist walk, and each
-// sweep/noise frequency assembles Y by scaled addition instead of
-// re-walking the netlist.
-struct AcStamps {
-  la::Mat g;  // conductance matrix, frequency-independent
-  la::Mat c;  // capacitance matrix; contributes j*omega*c per entry
-};
-
-AcStamps build_ac_stamps(const SimContext& ctx, const OpPoint& op);
-
-// Y(omega) = G + j*omega*C from a prebuilt split.
-la::CMat assemble_ac_matrix(const AcStamps& stamps, double omega);
-
-// Legacy single-pass assembly (netlist walk per frequency). Kept as the
-// reference implementation for the G/C equivalence tests and benchmarks;
-// the solvers use build_ac_stamps + assemble_ac_matrix.
-la::CMat build_ac_matrix(const SimContext& ctx, const OpPoint& op,
-                         double omega);
 
 AcResult solve_ac(const SimContext& ctx, const OpPoint& op,
                   const std::vector<double>& freqs);

@@ -1,6 +1,7 @@
 #include "sim/mna.hpp"
 
 #include <cmath>
+#include <cstdio>
 
 #include "la/sparse.hpp"
 #include "sim/structure.hpp"
@@ -23,56 +24,6 @@ SimContext::SimContext(const circuit::Netlist& netlist,
 
 SimContext::~SimContext() = default;
 
-void stamp_conductance(la::Mat& j, const MnaMap& m, int a, int b, double g) {
-  const int ia = m.v(a);
-  const int ib = m.v(b);
-  if (ia >= 0) j(ia, ia) += g;
-  if (ib >= 0) j(ib, ib) += g;
-  if (ia >= 0 && ib >= 0) {
-    j(ia, ib) -= g;
-    j(ib, ia) -= g;
-  }
-}
-
-void stamp_conductance(la::CMat& j, const MnaMap& m, int a, int b,
-                       std::complex<double> g) {
-  const int ia = m.v(a);
-  const int ib = m.v(b);
-  if (ia >= 0) j(ia, ia) += g;
-  if (ib >= 0) j(ib, ib) += g;
-  if (ia >= 0 && ib >= 0) {
-    j(ia, ib) -= g;
-    j(ib, ia) -= g;
-  }
-}
-
-namespace {
-
-template <typename T>
-void stamp_vccs_impl(la::Matrix<T>& j, const MnaMap& m, int out_p, int out_n,
-                     int c_p, int c_n, T g) {
-  const int ip = m.v(out_p);
-  const int in = m.v(out_n);
-  const int icp = m.v(c_p);
-  const int icn = m.v(c_n);
-  if (ip >= 0 && icp >= 0) j(ip, icp) += g;
-  if (ip >= 0 && icn >= 0) j(ip, icn) -= g;
-  if (in >= 0 && icp >= 0) j(in, icp) -= g;
-  if (in >= 0 && icn >= 0) j(in, icn) += g;
-}
-
-}  // namespace
-
-void stamp_vccs(la::Mat& j, const MnaMap& m, int out_p, int out_n, int c_p,
-                int c_n, double g) {
-  stamp_vccs_impl(j, m, out_p, out_n, c_p, c_n, g);
-}
-
-void stamp_vccs(la::CMat& j, const MnaMap& m, int out_p, int out_n, int c_p,
-                int c_n, std::complex<double> g) {
-  stamp_vccs_impl(j, m, out_p, out_n, c_p, c_n, g);
-}
-
 std::vector<double> logspace(double f_lo, double f_hi, int n) {
   std::vector<double> f(n);
   if (n == 1) {
@@ -82,6 +33,12 @@ std::vector<double> logspace(double f_lo, double f_hi, int n) {
   const double ratio = std::log(f_hi / f_lo) / (n - 1);
   for (int i = 0; i < n; ++i) f[i] = f_lo * std::exp(ratio * i);
   return f;
+}
+
+std::string format_sci(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6e", v);
+  return buf;
 }
 
 }  // namespace gcnrl::sim

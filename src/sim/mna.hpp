@@ -20,7 +20,6 @@
 
 #include "circuit/netlist.hpp"
 #include "circuit/tech.hpp"
-#include "la/lu.hpp"
 #include "la/matrix.hpp"
 #include "sim/mosfet.hpp"
 
@@ -69,10 +68,8 @@ struct SimContext {
   circuit::Technology tech;
   std::vector<MosModel> models;  // aligned with nl.mosfets()
   MnaMap map;
-  // Sparse-engine structure (CSR pattern + stamp slots), computed once
-  // per context from the topology alone — see sim/structure.hpp. Always
-  // built (construction is one netlist walk); the engines consult
-  // sparse_engine_enabled() to decide whether to use it.
+  // MNA structure (CSR pattern + stamp slots), computed once per context
+  // from the topology alone (one netlist walk) — see sim/structure.hpp.
   std::unique_ptr<const MnaStructure> structure;
   // Lazily-created blocked sweep engine shared by the AC and noise
   // sweeps: caching it here keeps the symbolic factorization (and its
@@ -99,18 +96,12 @@ struct OpPoint {
   [[nodiscard]] double source_current(int k) const { return -branch_i.at(k); }
 };
 
-// Dense-stamp helpers (ground rows/cols skipped).
-void stamp_conductance(la::Mat& j, const MnaMap& m, int a, int b, double g);
-void stamp_conductance(la::CMat& j, const MnaMap& m, int a, int b,
-                       std::complex<double> g);
-// VCCS: current g*(vc_p - vc_n) flowing from out_p to out_n inside the
-// element (i.e. leaving node out_p).
-void stamp_vccs(la::Mat& j, const MnaMap& m, int out_p, int out_n, int c_p,
-                int c_n, double g);
-void stamp_vccs(la::CMat& j, const MnaMap& m, int out_p, int out_n, int c_p,
-                int c_n, std::complex<double> g);
-
 // Log-spaced frequency grid, inclusive of both endpoints.
 std::vector<double> logspace(double f_lo, double f_hi, int n);
+
+// "%.6e" rendering for the frequencies (mHz to tens of GHz) and times (ns
+// to us) named in SimError diagnostics: fixed-notation std::to_string
+// collapses the small ones to "0.000000".
+std::string format_sci(double v);
 
 }  // namespace gcnrl::sim

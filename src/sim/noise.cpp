@@ -1,9 +1,9 @@
 #include "sim/noise.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
-#include "sim/ac.hpp"
 #include "sim/perf.hpp"
 #include "sim/structure.hpp"
 
@@ -51,56 +51,15 @@ double accumulate_psd(const SimContext& ctx, const OpPoint& op, double f,
   return psd;
 }
 
-// Legacy dense sweep (and the fallback when the sparse engine rejects a
-// block): one complex factorization + adjoint solve per frequency.
-NoiseResult solve_noise_dense(const SimContext& ctx, const OpPoint& op,
-                              const std::vector<double>& freqs, int outp,
-                              int outn) {
-  const auto t0 = clock_type::now();
-  const MnaMap& m = ctx.map;
-  PhaseSeconds phase;
+}  // namespace
 
-  NoiseResult out;
-  out.freq = freqs;
-  out.out_psd.resize(freqs.size(), 0.0);
-
-  const std::vector<cd> e = probe_vector(m, outp, outn);
-
-  // One netlist walk for the whole sweep; each frequency assembles
-  // Y = G + j*omega*C by scaled addition.
-  const auto s0 = clock_type::now();
-  const AcStamps stamps = build_ac_stamps(ctx, op);
-  phase.assembly += seconds_between(s0, clock_type::now());
-
-  la::Lu<cd> lu;
-  std::vector<cd> ytr;
-  for (std::size_t fi = 0; fi < freqs.size(); ++fi) {
-    const double f = freqs[fi];
-    const double omega = 2.0 * M_PI * f;
-    const auto a0 = clock_type::now();
-    la::CMat y = assemble_ac_matrix(stamps, omega);
-    const auto a1 = clock_type::now();
-    lu.factor_swap(y);
-    const auto a2 = clock_type::now();
-    // Adjoint: Y^T ytr = e  =>  v_out(unit injection a->b) = ytr_a - ytr_b.
-    lu.solve_transposed_into(e, ytr, /*conjugate=*/false);
-    const auto a3 = clock_type::now();
-    phase.assembly += seconds_between(a0, a1);
-    phase.factor += seconds_between(a1, a2);
-    phase.solve += seconds_between(a2, a3);
-    out.out_psd[fi] = accumulate_psd(ctx, op, f, ytr.data());
-  }
-  sim_perf_record(Analysis::Noise, static_cast<long>(freqs.size()),
-                  seconds_between(t0, clock_type::now()), 0, 0, &phase);
-  return out;
-}
-
-// Sparse SoA sweep: assemble G/C once into pattern slots, factor blocks
-// of frequency points over one symbolic factorization, adjoint-solve all
-// lanes at once.
-NoiseResult solve_noise_sparse(const SimContext& ctx, const OpPoint& op,
-                               const std::vector<double>& freqs, int outp,
-                               int outn) {
+// G/C are assembled once into pattern slots, blocks of frequency points
+// are factored over one symbolic factorization, and all lanes are
+// adjoint-solved at once. A block the factorization splits resumes at its
+// first rejected frequency.
+NoiseResult solve_noise(const SimContext& ctx, const OpPoint& op,
+                        const std::vector<double>& freqs, int outp,
+                        int outn) {
   constexpr int kLanes = la::SparseSweepLu::kMaxLanes;
   const auto t0 = clock_type::now();
   const MnaMap& m = ctx.map;
@@ -125,43 +84,38 @@ NoiseResult solve_noise_sparse(const SimContext& ctx, const OpPoint& op,
   std::vector<cd> ys(static_cast<std::size_t>(kLanes) * m.dim());
   double omega[kLanes];
   const int nf = static_cast<int>(freqs.size());
-  for (int fi = 0; fi < nf; fi += kLanes) {
+  bool split = false;
+  for (int fi = 0; fi < nf;) {
     const int count = std::min(kLanes, nf - fi);
     for (int f = 0; f < count; ++f) {
       omega[f] = 2.0 * M_PI * freqs[fi + f];
     }
     const auto a1 = clock_type::now();
-    if (!sweep.factor_block(g.data(), c.data(), omega, count)) {
-      throw SparseEngineFallback{};
-    }
+    const int done = sweep.factor_block(g.data(), c.data(), omega, count);
     const auto a2 = clock_type::now();
-    sweep.solve_transposed_block(e.data(), ys.data(), m.dim());
-    const auto a3 = clock_type::now();
     phase.factor += seconds_between(a1, a2);
-    phase.solve += seconds_between(a2, a3);
-    for (int f = 0; f < count; ++f) {
+    if (done == 0) {
+      sim_perf_record(Analysis::Noise, static_cast<long>(fi),
+                      seconds_between(t0, clock_type::now()), 0, 0, &phase);
+      throw SimError("noise matrix singular at f=" + format_sci(freqs[fi]) +
+                     " Hz");
+    }
+    if (done < count && !split) {
+      split = true;
+      sim_perf_sweep_split(Analysis::Noise);
+    }
+    // Adjoint: Y^T ytr = e  =>  v_out(unit injection a->b) = ytr_a - ytr_b.
+    sweep.solve_transposed_block(e.data(), ys.data(), m.dim());
+    phase.solve += seconds_between(a2, clock_type::now());
+    for (int f = 0; f < done; ++f) {
       const cd* ytr = ys.data() + static_cast<std::size_t>(f) * m.dim();
       out.out_psd[fi + f] = accumulate_psd(ctx, op, freqs[fi + f], ytr);
     }
+    fi += done;
   }
   sim_perf_record(Analysis::Noise, static_cast<long>(freqs.size()),
                   seconds_between(t0, clock_type::now()), 0, 0, &phase);
   return out;
-}
-
-}  // namespace
-
-NoiseResult solve_noise(const SimContext& ctx, const OpPoint& op,
-                        const std::vector<double>& freqs, int outp,
-                        int outn) {
-  if (sparse_engine_enabled() && ctx.structure) {
-    try {
-      return solve_noise_sparse(ctx, op, freqs, outp, outn);
-    } catch (const SparseEngineFallback&) {
-      sim_perf_sparse_fallback(Analysis::Noise);
-    }
-  }
-  return solve_noise_dense(ctx, op, freqs, outp, outn);
 }
 
 }  // namespace gcnrl::sim

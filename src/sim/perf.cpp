@@ -80,7 +80,7 @@ void sim_perf_record(Analysis which, long items, double seconds,
   }
 }
 
-void sim_perf_sparse_fallback(Analysis which) {
+void sim_perf_sweep_split(Analysis which) {
   slot(which).sparse_fallbacks.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -38,8 +38,12 @@ struct AnalysisPerf {
   long warm_hits = 0;  // DC only: solves converged directly from a warm start
   long warm_fallbacks = 0;  // DC only: warm attempts that fell back to the
                             // cold gmin/source-stepping ladder
-  long sparse_fallbacks = 0;  // analyses rerun densely after the sparse
-                              // engine rejected a factorization
+  // AC/noise only: sweeps that split at least one frequency block (a
+  // later frequency rejected the pivots chosen at the block's first one,
+  // so the sweep re-pivoted there), counted once per analysis call. The
+  // name predates the split: these are the sweeps that used to be rerun
+  // on a dense fallback engine, so the count stays comparable.
+  long sparse_fallbacks = 0;
   double seconds = 0.0;       // wall time inside the analysis
   PhaseSeconds phase;         // assembly / factor / solve attribution
 };
@@ -59,9 +63,9 @@ void sim_perf_record(Analysis which, long items, double seconds,
                      long warm_hits = 0, long warm_fallbacks = 0,
                      const PhaseSeconds* phases = nullptr);
 
-// Count one sparse-engine rejection (the analysis rerun happens on the
-// dense path and records itself through sim_perf_record as usual).
-void sim_perf_sparse_fallback(Analysis which);
+// Count one AC/noise sweep that split a frequency block
+// (AnalysisPerf::sparse_fallbacks).
+void sim_perf_sweep_split(Analysis which);
 
 // Totals since process start or the last sim_perf_reset().
 SimPerf sim_perf_snapshot();

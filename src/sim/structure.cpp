@@ -1,16 +1,11 @@
 #include "sim/structure.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 namespace gcnrl::sim {
 
 namespace {
-
-// -1 = uninitialized (read GCNRL_SPARSE on first query), 0/1 = forced.
-std::atomic<int> g_sparse_enabled{-1};
 
 void quad_coords(std::vector<std::pair<int, int>>& out, const MnaMap& m,
                  int a, int b) {
@@ -65,20 +60,6 @@ VccsSlots vccs_slots(const la::SparsePattern& p, const MnaMap& m, int out_p,
 }
 
 }  // namespace
-
-bool sparse_engine_enabled() {
-  int v = g_sparse_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("GCNRL_SPARSE");
-    v = (env != nullptr && env[0] == '0' && env[1] == '\0') ? 0 : 1;
-    g_sparse_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void set_sparse_engine_enabled(bool on) {
-  g_sparse_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 MnaStructure::MnaStructure(const circuit::Netlist& nl, const MnaMap& m) {
   // 1. Union of every coordinate any analysis stamps.

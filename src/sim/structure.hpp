@@ -1,4 +1,4 @@
-// Per-topology MNA structure: the sparse engine's one-time setup.
+// Per-topology MNA structure: the simulator's one-time setup.
 //
 // Sizing changes element *values* but never the netlist topology, so the
 // CSR sparsity pattern of the MNA system and the value-array slot of
@@ -24,21 +24,6 @@
 #include "sim/mna.hpp"
 
 namespace gcnrl::sim {
-
-// Process-wide engine toggle. Defaults to the GCNRL_SPARSE environment
-// variable (unset or any value but "0" = enabled); tests and benches
-// override it programmatically. Engines fall back to the dense path per
-// analysis when a sparse factorization is rejected regardless of this
-// flag, so disabling it only forces the legacy path unconditionally.
-bool sparse_engine_enabled();
-void set_sparse_engine_enabled(bool on);
-
-// Internal control-flow signal: a sparse factorization was rejected
-// (structural/numeric singularity, pivot-check failure, or element
-// growth). The throwing engine reruns the ENTIRE analysis on the dense
-// path, whose results, perf recording, and failure diagnostics are
-// bitwise the legacy behaviour.
-struct SparseEngineFallback {};
 
 // Value-array slots of a symmetric conductance-style stamp between nodes
 // a and b ((aa, bb) diagonals, (ab, ba) couplings); -1 where a terminal is
@@ -76,8 +61,8 @@ struct MnaStructure {
   MnaStructure(const circuit::Netlist& nl, const MnaMap& m);
 };
 
-// --- pattern-aligned stamp helpers (sparse analogs of the dense helpers
-// in mna.hpp; ground guards are encoded as -1 slots) -----------------
+// --- pattern-aligned stamp helpers (ground guards are encoded as -1
+// slots) ---------------------------------------------------------------
 
 inline void add_quad(double* vals, const QuadSlots& q, double g) {
   if (q.aa >= 0) vals[q.aa] += g;
@@ -95,9 +80,9 @@ inline void add_vccs(double* vals, const VccsSlots& s, double g) {
   if (s.nn >= 0) vals[s.nn] += g;
 }
 
-// MOS small-signal stamp in the DC/transient Jacobian's fused form
-// (d(id)/dvs = -(gm + gds) added as one term, exactly like the dense
-// Newton assembly — not as separate VCCS + conductance adds).
+// MOS small-signal stamp in the DC/transient Jacobian's fused form:
+// d(id)/dvg = gm, d(id)/dvd = gds and d(id)/dvs = -(gm + gds), the last
+// added as one term rather than as separate VCCS + conductance adds.
 inline void add_mos_g(double* vals, const MosSlots& ms, double gm,
                       double gds) {
   if (ms.gm.pp >= 0) vals[ms.gm.pp] += gm;          // (d, g)
@@ -108,9 +93,12 @@ inline void add_mos_g(double* vals, const MosSlots& ms, double gm,
   if (ms.gds.bb >= 0) vals[ms.gds.bb] += gm + gds;  // (s, s)
 }
 
-// Sparse analog of build_ac_stamps: one netlist walk filling
-// pattern-aligned G and C value arrays (Y(w) = G + j*w*C), including the
-// 1e-12 regularization shunt on every node diagonal of G.
+// Frequency-independent split of the small-signal system, Y(w) = G +
+// j*w*C: one netlist walk filling pattern-aligned G (resistor
+// conductances, gm/gds stamps, voltage-source branch rows) and C (every
+// capacitance) value arrays, including the 1e-12 regularization shunt on
+// every node diagonal of G that keeps floating AC nodes (e.g. gates
+// driven only through capacitors) solvable.
 void assemble_ac_gc(const SimContext& ctx, const MnaStructure& st,
                     const OpPoint& op, std::vector<double>& g,
                     std::vector<double>& c);

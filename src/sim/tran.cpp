@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <optional>
 
 #include "sim/perf.hpp"
 #include "sim/structure.hpp"
@@ -21,128 +19,24 @@ double src_at(double dc, const circuit::Pwl& pwl, double t) {
   return pwl.empty() ? dc : pwl.at(t);
 }
 
-// Time steps are ns-to-us scale; fixed-notation std::to_string collapses
-// them to "0.000000". Scientific notation keeps the diagnostic useful.
-std::string format_time(double t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6e", t);
-  return buf;
-}
-
 // Per-run workspace reused across every timestep and Newton iteration —
 // the sparse LU keeps its symbolic factorization alive for the whole
 // transient run (the pattern never changes), so after the first timestep
 // each iteration is a numeric refactor only.
 struct TranWork {
-  la::Mat j;
-  la::Lu<double> lu;
-  const MnaStructure* st = nullptr;
-  la::SparseLuD* slu = nullptr;
-  std::vector<double> vals;
+  explicit TranWork(const MnaStructure& structure)
+      : st(structure), slu(structure.pattern) {}
+  const MnaStructure& st;
+  la::SparseLuD slu;
+  std::vector<double> vals;  // pattern-aligned Jacobian values
   std::vector<double> f, rhs, dx;
   PhaseSeconds phase;
 };
 
-// Dense residual + Jacobian for one Newton iteration at time t_now. The
-// stamps and their order are the legacy inline assembly verbatim; only
-// the storage is reused between calls.
-void build_tran_dense(const SimContext& ctx, const OpPoint& ic,
-                      const std::vector<double>& x,
-                      const std::vector<double>& x_prev, double t_now,
-                      double gh, double gmin, la::Mat& j,
-                      std::vector<double>& f) {
-  const MnaMap& m = ctx.map;
-  const circuit::Netlist& nl = ctx.nl;
-  if (j.rows() != m.dim() || j.cols() != m.dim()) {
-    j = la::Mat(m.dim(), m.dim());
-  } else {
-    j.fill(0.0);
-  }
-  f.assign(m.dim(), 0.0);
-
-  auto volt = [&](const std::vector<double>& xx, int node) {
-    return node == 0 ? 0.0 : xx[m.v(node)];
-  };
-
-  for (const auto& res : nl.resistors()) {
-    const double g = 1.0 / std::max(res.r, kMinResistance);
-    stamp_conductance(j, m, res.a, res.b, g);
-    const double i = g * (volt(x, res.a) - volt(x, res.b));
-    if (m.v(res.a) >= 0) f[m.v(res.a)] += i;
-    if (m.v(res.b) >= 0) f[m.v(res.b)] -= i;
-  }
-
-  // Linear capacitors: backward-Euler companion model.
-  auto stamp_cap = [&](int a, int b, double c) {
-    const double g = c * gh;
-    stamp_conductance(j, m, a, b, g);
-    const double dv_now = volt(x, a) - volt(x, b);
-    const double dv_prev = volt(x_prev, a) - volt(x_prev, b);
-    const double i = g * (dv_now - dv_prev);
-    if (m.v(a) >= 0) f[m.v(a)] += i;
-    if (m.v(b) >= 0) f[m.v(b)] -= i;
-  };
-  for (const auto& cap : nl.capacitors()) stamp_cap(cap.a, cap.b, cap.c);
-
-  for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
-    const auto& mos = nl.mosfets()[k];
-    const MosOp op = eval_mos(ctx.models[k], mos, volt(x, mos.g),
-                              volt(x, mos.d), volt(x, mos.s));
-    const int id_row = m.v(mos.d);
-    const int is_row = m.v(mos.s);
-    if (id_row >= 0) f[id_row] += op.id;
-    if (is_row >= 0) f[is_row] -= op.id;
-    const int cg = m.v(mos.g);
-    const int cd = m.v(mos.d);
-    const int cs = m.v(mos.s);
-    auto add = [&](int row, double sign) {
-      if (row < 0) return;
-      if (cg >= 0) j(row, cg) += sign * op.gm;
-      if (cd >= 0) j(row, cd) += sign * op.gds;
-      if (cs >= 0) j(row, cs) -= sign * (op.gm + op.gds);
-    };
-    add(id_row, 1.0);
-    add(is_row, -1.0);
-    // Device capacitances, same companion treatment.
-    const MosCaps& c = ic.caps[k];
-    stamp_cap(mos.g, mos.s, c.cgs);
-    stamp_cap(mos.g, mos.d, c.cgd);
-    stamp_cap(mos.d, mos.b, c.cdb);
-    stamp_cap(mos.s, mos.b, c.csb);
-  }
-
-  for (const auto& src : nl.isources()) {
-    const double i = src_at(src.dc, src.pwl, t_now);
-    if (m.v(src.p) >= 0) f[m.v(src.p)] += i;
-    if (m.v(src.n) >= 0) f[m.v(src.n)] -= i;
-  }
-  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-    const auto& src = nl.vsources()[k];
-    const int b = m.branch(static_cast<int>(k));
-    const double i = x[b];
-    if (m.v(src.p) >= 0) {
-      f[m.v(src.p)] += i;
-      j(m.v(src.p), b) += 1.0;
-      j(b, m.v(src.p)) += 1.0;
-    }
-    if (m.v(src.n) >= 0) {
-      f[m.v(src.n)] -= i;
-      j(m.v(src.n), b) -= 1.0;
-      j(b, m.v(src.n)) -= 1.0;
-    }
-    f[b] = volt(x, src.p) - volt(x, src.n) - src_at(src.dc, src.pwl, t_now);
-  }
-
-  for (int node = 1; node < m.num_nodes(); ++node) {
-    const int row = m.v(node);
-    j(row, row) += gmin;
-    f[row] += gmin * x[row];
-  }
-}
-
-// Sparse variant: identical residual, Jacobian written through the
-// precomputed stamp slots.
-void build_tran_sparse(const SimContext& ctx, const MnaStructure& st,
+// Residual + Jacobian for one Newton iteration at time t_now, the
+// Jacobian written through the precomputed stamp slots. Capacitors (and
+// the MOS capacitances) use the backward-Euler companion model.
+void build_tran_system(const SimContext& ctx, const MnaStructure& st,
                        const OpPoint& ic, const std::vector<double>& x,
                        const std::vector<double>& x_prev, double t_now,
                        double gh, double gmin, std::vector<double>& vals,
@@ -232,8 +126,10 @@ void build_tran_sparse(const SimContext& ctx, const MnaStructure& st,
   }
 }
 
-TranResult solve_tran_impl(const SimContext& ctx, const OpPoint& ic,
-                           const TranOptions& opt, bool use_sparse) {
+}  // namespace
+
+TranResult solve_tran(const SimContext& ctx, const OpPoint& ic,
+                      const TranOptions& opt) {
   const auto t0 = clock_type::now();
   const MnaMap& m = ctx.map;
   const circuit::Netlist& nl = ctx.nl;
@@ -243,13 +139,7 @@ TranResult solve_tran_impl(const SimContext& ctx, const OpPoint& ic,
   out.t.reserve(steps + 1);
   out.v = la::Mat(steps + 1, m.num_nodes());
 
-  TranWork w;
-  std::optional<la::SparseLuD> slu_store;
-  if (use_sparse) {
-    w.st = ctx.structure.get();
-    slu_store.emplace(ctx.structure->pattern);
-    w.slu = &*slu_store;
-  }
+  TranWork w(*ctx.structure);
 
   // Unknown vector from the initial condition.
   std::vector<double> x(m.dim(), 0.0);
@@ -267,41 +157,24 @@ TranResult solve_tran_impl(const SimContext& ctx, const OpPoint& ic,
     const double t_now = step * opt.dt;
     bool converged = false;
     for (int iter = 0; iter < opt.max_newton; ++iter) {
-      if (use_sparse) {
-        const auto a0 = clock_type::now();
-        build_tran_sparse(ctx, *w.st, ic, x, x_prev, t_now, gh, opt.gmin,
-                          w.vals, w.f);
-        const auto a1 = clock_type::now();
-        if (!w.slu->factor_values(w.vals.data())) throw SparseEngineFallback{};
-        const auto a2 = clock_type::now();
-        w.rhs.resize(w.f.size());
-        for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
-        w.dx.resize(w.f.size());
-        w.slu->solve_into(w.rhs.data(), w.dx.data());
-        const auto a3 = clock_type::now();
-        w.phase.assembly += seconds_between(a0, a1);
-        w.phase.factor += seconds_between(a1, a2);
-        w.phase.solve += seconds_between(a2, a3);
-      } else {
-        const auto a0 = clock_type::now();
-        build_tran_dense(ctx, ic, x, x_prev, t_now, gh, opt.gmin, w.j, w.f);
-        const auto a1 = clock_type::now();
-        w.rhs.resize(w.f.size());
-        for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
-        try {
-          w.lu.factor_swap(w.j);
-        } catch (const la::SingularMatrixError&) {
-          throw SimError("transient: singular Jacobian at t=" +
-                         format_time(t_now) + " s (Newton iteration " +
-                         std::to_string(iter + 1) + ")");
-        }
-        const auto a2 = clock_type::now();
-        w.lu.solve_into(w.rhs, w.dx);
-        const auto a3 = clock_type::now();
-        w.phase.assembly += seconds_between(a0, a1);
-        w.phase.factor += seconds_between(a1, a2);
-        w.phase.solve += seconds_between(a2, a3);
+      const auto a0 = clock_type::now();
+      build_tran_system(ctx, w.st, ic, x, x_prev, t_now, gh, opt.gmin,
+                        w.vals, w.f);
+      const auto a1 = clock_type::now();
+      if (!w.slu.factor_values(w.vals.data())) {
+        throw SimError("transient: singular Jacobian at t=" +
+                       format_sci(t_now) + " s (Newton iteration " +
+                       std::to_string(iter + 1) + ")");
       }
+      const auto a2 = clock_type::now();
+      w.rhs.resize(w.f.size());
+      for (std::size_t i = 0; i < w.f.size(); ++i) w.rhs[i] = -w.f[i];
+      w.dx.resize(w.f.size());
+      w.slu.solve_into(w.rhs.data(), w.dx.data());
+      const auto a3 = clock_type::now();
+      w.phase.assembly += seconds_between(a0, a1);
+      w.phase.factor += seconds_between(a1, a2);
+      w.phase.solve += seconds_between(a2, a3);
       double max_dv = 0.0;
       const int nv = m.num_nodes() - 1;
       for (int i = 0; i < nv; ++i) {
@@ -312,7 +185,7 @@ TranResult solve_tran_impl(const SimContext& ctx, const OpPoint& ic,
       for (std::size_t i = 0; i < x.size(); ++i) {
         x[i] += scale * w.dx[i];
         if (!std::isfinite(x[i])) {
-          throw SimError("transient: divergence at t=" + format_time(t_now) +
+          throw SimError("transient: divergence at t=" + format_sci(t_now) +
                          " s");
         }
       }
@@ -327,7 +200,7 @@ TranResult solve_tran_impl(const SimContext& ctx, const OpPoint& ic,
       }
     }
     if (!converged) {
-      throw SimError("transient: Newton failed at t=" + format_time(t_now) +
+      throw SimError("transient: Newton failed at t=" + format_sci(t_now) +
                      " s");
     }
     out.t.push_back(t_now);
@@ -339,20 +212,6 @@ TranResult solve_tran_impl(const SimContext& ctx, const OpPoint& ic,
   sim_perf_record(Analysis::Tran, steps, seconds_between(t0, clock_type::now()),
                   0, 0, &w.phase);
   return out;
-}
-
-}  // namespace
-
-TranResult solve_tran(const SimContext& ctx, const OpPoint& ic,
-                      const TranOptions& opt) {
-  if (sparse_engine_enabled() && ctx.structure) {
-    try {
-      return solve_tran_impl(ctx, ic, opt, /*use_sparse=*/true);
-    } catch (const SparseEngineFallback&) {
-      sim_perf_sparse_fallback(Analysis::Tran);
-    }
-  }
-  return solve_tran_impl(ctx, ic, opt, /*use_sparse=*/false);
 }
 
 }  // namespace gcnrl::sim

@@ -450,7 +450,8 @@ TEST(SparseSweepLu, BlockedSolvesMatchDense) {
     for (int f = 0; f < count; ++f) {
       omega[f] = 2.0 * M_PI * std::pow(10.0, 4.0 + f + (count == 3 ? 4 : 0));
     }
-    ASSERT_TRUE(sweep.factor_block(g.data(), c.data(), omega.data(), count));
+    ASSERT_EQ(sweep.factor_block(g.data(), c.data(), omega.data(), count),
+              count);
     sweep.solve_block(b.data(), out.data(), n);
     for (int f = 0; f < count; ++f) {
       la::Lu<cd> dense(dense_ac_matrix(s.pattern, g, c, omega[f]));
@@ -489,9 +490,9 @@ TEST(SparseSweepLu, LaneRejectionRepivotsTransparently) {
   const double bad[4] = {1e-6, 1.0, 1.0, 1e-6};
   const double c[4] = {1e-12, 0.0, 0.0, 1e-12};
   const double omega[2] = {1e4, 1e5};
-  ASSERT_TRUE(sweep.factor_block(good, c, omega, 2));
+  ASSERT_EQ(sweep.factor_block(good, c, omega, 2), 2);
   const long repivots_before = sweep.repivots();
-  ASSERT_TRUE(sweep.factor_block(bad, c, omega, 2));
+  ASSERT_EQ(sweep.factor_block(bad, c, omega, 2), 2);
   EXPECT_GT(sweep.repivots(), repivots_before);
   const std::vector<cd> b{cd(1.0, 0.0), cd(2.0, 0.0)};
   std::vector<cd> out(2 * 2);
@@ -509,6 +510,46 @@ TEST(SparseSweepLu, LaneRejectionRepivotsTransparently) {
                   0.0, 1e-9);
     }
   }
+}
+
+// A later lane that rejects the pivots chosen at the block's first
+// frequency splits the block: factor_block factors only the leading lanes
+// that accept them, and the block restarted at the rejected frequency
+// re-pivots there. Y = [[1, 1], [j*w*1e-3, 1]]: the diagonal pivot of
+// column 0 holds while |Y10| = 1e-3*w stays within 1e3 of |Y00| = 1, i.e.
+// up to w = 1e6, and the lane at w = 1e7 rejects it.
+TEST(SparseSweepLu, LaterLaneRejectionSplitsTheBlock) {
+  using cd = std::complex<double>;
+  const la::SparsePattern p =
+      la::SparsePattern::from_coords(2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}});
+  const std::vector<double> g{1.0, 1.0, 0.0, 1.0};
+  const std::vector<double> c{0.0, 0.0, 1e-3, 0.0};
+  constexpr int kLanes = la::SparseSweepLu::kMaxLanes;
+  double omega[kLanes];
+  for (int f = 0; f < kLanes; ++f) omega[f] = std::pow(10.0, f);
+  const std::vector<cd> b{cd(1.0, 0.0), cd(2.0, 0.0)};
+  std::vector<cd> out(static_cast<std::size_t>(kLanes) * 2);
+  const auto expect_lanes_match_dense = [&](const double* w, int lanes) {
+    for (int f = 0; f < lanes; ++f) {
+      const auto x_ref = la::solve(dense_ac_matrix(p, g, c, w[f]), b);
+      for (int i = 0; i < 2; ++i) {
+        EXPECT_NEAR(std::abs(out[static_cast<std::size_t>(f) * 2 + i] -
+                             x_ref[i]),
+                    0.0, 1e-12 * std::max(1.0, std::abs(x_ref[i])))
+            << "w=" << w[f] << " i=" << i;
+      }
+    }
+  };
+
+  la::SparseSweepLu sweep(p);
+  const int done = sweep.factor_block(g.data(), c.data(), omega, kLanes);
+  ASSERT_EQ(done, kLanes - 1);
+  sweep.solve_block(b.data(), out.data(), 2);
+  expect_lanes_match_dense(omega, done);
+
+  ASSERT_EQ(sweep.factor_block(g.data(), c.data(), omega + done, 1), 1);
+  sweep.solve_block(b.data(), out.data(), 2);
+  expect_lanes_match_dense(omega + done, 1);
 }
 
 TEST(MatrixHelpers, NormsAndFinite) {

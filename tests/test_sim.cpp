@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "circuit/netlist.hpp"
 #include "circuit/tech.hpp"
@@ -11,7 +12,6 @@
 #include "meas/tran_metrics.hpp"
 #include "sim/perf.hpp"
 #include "sim/simulator.hpp"
-#include "sim/structure.hpp"
 
 namespace circuit = gcnrl::circuit;
 namespace la = gcnrl::la;
@@ -30,18 +30,6 @@ meas::AcCurve curve_of(const sim::AcResult& ac, int node) {
   }
   return c;
 }
-
-// Scoped override of the process-wide sparse-engine toggle.
-class SparseEngineGuard {
- public:
-  explicit SparseEngineGuard(bool on) : prev_(sim::sparse_engine_enabled()) {
-    sim::set_sparse_engine_enabled(on);
-  }
-  ~SparseEngineGuard() { sim::set_sparse_engine_enabled(prev_); }
-
- private:
-  bool prev_;
-};
 
 }  // namespace
 
@@ -350,39 +338,7 @@ TEST(Meas, Logspace) {
   EXPECT_NEAR(f[3], 1000.0, 1e-9);
 }
 
-// --- G/C split and DC warm start ------------------------------------------
-
-// The split assembly Y = G + j*omega*C must reproduce the legacy
-// walk-per-frequency matrix on every benchmark circuit: real parts are
-// accumulated in the identical order (bitwise equal); imaginary parts
-// regroup omega*(c1+c2) vs omega*c1 + omega*c2 and may differ in the last
-// ulp, hence the relative tolerance.
-TEST(Ac, SplitStampsMatchLegacyAssembly) {
-  for (const char* name : {"Two-TIA", "Two-Volt", "Three-TIA", "LDO"}) {
-    auto bc = gcnrl::circuits::make_benchmark(name, kTech);
-    circuit::Netlist nl = bc.netlist;
-    bc.space.apply(nl, bc.human_expert);
-    sim::Simulator s(nl, kTech);
-    const sim::OpPoint& op = s.op();
-    const sim::AcStamps stamps = sim::build_ac_stamps(s.context(), op);
-    for (const double f : {1e2, 1e5, 1e8, 1e10}) {
-      const double omega = 2.0 * M_PI * f;
-      const la::CMat legacy = sim::build_ac_matrix(s.context(), op, omega);
-      const la::CMat split = sim::assemble_ac_matrix(stamps, omega);
-      ASSERT_EQ(legacy.rows(), split.rows());
-      for (int i = 0; i < legacy.rows(); ++i) {
-        for (int j = 0; j < legacy.cols(); ++j) {
-          EXPECT_EQ(legacy(i, j).real(), split(i, j).real())
-              << name << " (" << i << "," << j << ") at f=" << f;
-          const double tol =
-              1e-12 * std::max(1.0, std::fabs(legacy(i, j).imag()));
-          EXPECT_NEAR(legacy(i, j).imag(), split(i, j).imag(), tol)
-              << name << " (" << i << "," << j << ") at f=" << f;
-        }
-      }
-    }
-  }
-}
+// --- DC warm start ----------------------------------------------------------
 
 // A converged operating point handed back as the warm start must converge
 // directly (strategy 0) in a handful of iterations and land on the same
@@ -482,129 +438,86 @@ TEST(Perf, RegistryAttributesPerAnalysis) {
 }
 
 // ---------------------------------------------------------------------
-// Sparse structure-reuse engine vs the legacy dense path.
+// Failure diagnostics of the MNA engine on a structurally singular system
+// (two ideal voltage sources in parallel).
 // ---------------------------------------------------------------------
 
-// All four analyses on a realistic MOS circuit must agree between the
-// two engines: both converge to the same root, so the results differ
-// only at the level of floating-point solve ordering.
-TEST(Sparse, AllAnalysesAgreeWithDense) {
-  auto bc = gcnrl::circuits::make_two_tia(kTech);
-  circuit::Netlist nl = bc.netlist;
-  bc.space.apply(nl, bc.human_expert);
-  const auto freqs = sim::logspace(1e3, 1e10, 21);
-  sim::TranOptions topt;
-  topt.tstop = 20e-9;
-  topt.dt = 0.5e-9;
+namespace {
 
-  sim::OpPoint op[2];
-  sim::AcResult ac[2];
-  sim::NoiseResult noise[2];
-  sim::TranResult tran[2];
-  for (const bool sparse : {false, true}) {
-    SparseEngineGuard guard(sparse);
-    sim::Simulator s(nl, kTech);
-    const int k = sparse ? 1 : 0;
-    op[k] = s.op();
-    ac[k] = s.ac(freqs);
-    noise[k] = s.noise(freqs, 1);
-    tran[k] = s.tran(topt);
-  }
-  for (std::size_t i = 0; i < op[0].v.size(); ++i) {
-    EXPECT_NEAR(op[1].v[i], op[0].v[i],
-                1e-12 * std::max(1.0, std::fabs(op[0].v[i])))
-        << "node " << i;
-  }
-  for (std::size_t fi = 0; fi < freqs.size(); ++fi) {
-    const int f = static_cast<int>(fi);
-    for (int n = 1; n < static_cast<int>(op[0].v.size()); ++n) {
-      const auto d = ac[1].phasor(f, n) - ac[0].phasor(f, n);
-      EXPECT_NEAR(std::abs(d), 0.0,
-                  1e-10 * std::max(1.0, std::abs(ac[0].phasor(f, n))))
-          << "f=" << freqs[fi] << " node=" << n;
-    }
-    // Floor guards supply-pinned probes whose PSD is rounding dust
-    // (~1e-48): real PSDs on these circuits sit many decades above it.
-    EXPECT_NEAR(noise[1].out_psd[fi], noise[0].out_psd[fi],
-                1e-10 * std::max(noise[0].out_psd[fi], 1e-30))
-        << "f=" << freqs[fi];
-  }
-  ASSERT_EQ(tran[0].t.size(), tran[1].t.size());
-  for (std::size_t st = 0; st < tran[0].t.size(); ++st) {
-    for (int n = 1; n < static_cast<int>(op[0].v.size()); ++n) {
-      EXPECT_NEAR(tran[1].at(static_cast<int>(st), n),
-                  tran[0].at(static_cast<int>(st), n),
-                  1e-10 * std::max(1.0, std::fabs(tran[0].at(
-                                       static_cast<int>(st), n))))
-          << "step=" << st << " node=" << n;
-    }
-  }
-}
-
-// A structurally singular system must not crash the sparse engine: it
-// counts a fallback, reruns densely, and the dense path reports the same
-// SimError the legacy engine always threw.
-TEST(Sparse, SingularCircuitFallsBackThenFailsCleanly) {
+circuit::Netlist parallel_vsources() {
   circuit::Netlist nl;
   const int a = nl.node("a");
   nl.add_vsource("V1", a, 0, 1.0);
   nl.add_vsource("V2", a, 0, 2.0);
-  SparseEngineGuard guard(true);
-  sim::sim_perf_reset();
+  return nl;
+}
+
+// Zero operating point for parallel_vsources(): the DC solve on that
+// netlist (correctly) fails, so the AC, noise and transient tests hand
+// their solver this one directly.
+sim::OpPoint zero_op() {
+  sim::OpPoint op;
+  op.v.assign(2, 0.0);
+  op.branch_i.assign(2, 0.0);
+  return op;
+}
+
+}  // namespace
+
+// Every rejected DC factorization is a non-converged Newton attempt, so the
+// whole ladder fails and the solve reports the usual SimError.
+TEST(Sparse, SingularCircuitFailsCleanly) {
+  const circuit::Netlist nl = parallel_vsources();
   sim::Simulator s(nl, kTech);
   EXPECT_THROW(s.op(), sim::SimError);
-  EXPECT_GE(sim::sim_perf_snapshot().dc.sparse_fallbacks, 1);
+  sim::sim_perf_reset();
+}
+
+// A singular AC or noise sweep must be a SimError naming the frequency (in
+// scientific notation), never a crash or a non-SimError exception:
+// EvalService counts only SimError as a failed simulation.
+TEST(Sparse, SingularAcAndNoiseSweepsNameTheFrequency) {
+  const circuit::Netlist nl = parallel_vsources();
+  sim::Simulator s(nl, kTech);
+  const sim::OpPoint op = zero_op();
+  const auto freqs = sim::logspace(1e3, 1e9, 13);
+  const auto expect_freq_error = [](const std::string& msg,
+                                    const std::string& what) {
+    EXPECT_NE(msg.find(what + " matrix singular at f=1.000000e+03 Hz"),
+              std::string::npos)
+        << msg;
+  };
+  try {
+    sim::solve_ac(s.context(), op, freqs);
+    FAIL() << "expected SimError from the AC sweep";
+  } catch (const sim::SimError& e) {
+    expect_freq_error(e.what(), "AC");
+  }
+  try {
+    sim::solve_noise(s.context(), op, freqs, 1, 0);
+    FAIL() << "expected SimError from the noise sweep";
+  } catch (const sim::SimError& e) {
+    expect_freq_error(e.what(), "noise");
+  }
   sim::sim_perf_reset();
 }
 
 // The transient LU-failure diagnostic must name both the timestep (in
 // scientific notation — ns-scale times collapse to 0.000000 otherwise)
-// and the Newton iteration, on either engine (the sparse path falls back
-// and reruns densely, so the dense diagnostic is the one that surfaces).
+// and the Newton iteration.
 TEST(Tran, SingularJacobianDiagnosticNamesStepAndIteration) {
-  circuit::Netlist nl;
-  const int a = nl.node("a");
-  nl.add_vsource("V1", a, 0, 1.0);
-  nl.add_vsource("V2", a, 0, 2.0);
-  for (const bool sparse : {false, true}) {
-    SparseEngineGuard guard(sparse);
-    sim::Simulator s(nl, kTech);
-    // Hand the solver a zero initial condition directly: the DC solve on
-    // this netlist (correctly) fails, but the transient Jacobian path is
-    // what this test pins down.
-    sim::OpPoint ic;
-    ic.v.assign(2, 0.0);
-    ic.branch_i.assign(2, 0.0);
-    sim::TranOptions opt;
-    opt.tstop = 4e-9;
-    opt.dt = 1e-9;
-    try {
-      sim::solve_tran(s.context(), ic, opt);
-      FAIL() << "expected SimError (sparse=" << sparse << ")";
-    } catch (const sim::SimError& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("(Newton iteration "), std::string::npos) << msg;
-      EXPECT_NE(msg.find("at t="), std::string::npos) << msg;
-      EXPECT_NE(msg.find("e-"), std::string::npos)
-          << "timestep not in scientific notation: " << msg;
-    }
-  }
-  sim::sim_perf_reset();
-}
-
-// Toggling the engine off forces the legacy dense path unconditionally:
-// no sparse fallbacks can be recorded while it is disabled.
-TEST(Sparse, DisabledEngineNeverRecordsFallbacks) {
-  auto bc = gcnrl::circuits::make_two_tia(kTech);
-  circuit::Netlist nl = bc.netlist;
-  bc.space.apply(nl, bc.human_expert);
-  SparseEngineGuard guard(false);
-  sim::sim_perf_reset();
+  const circuit::Netlist nl = parallel_vsources();
   sim::Simulator s(nl, kTech);
-  s.op();
-  s.ac(sim::logspace(1e3, 1e9, 13));
-  const sim::SimPerf p = sim::sim_perf_snapshot();
-  EXPECT_EQ(p.dc.sparse_fallbacks, 0);
-  EXPECT_EQ(p.ac.sparse_fallbacks, 0);
+  sim::TranOptions opt;
+  opt.tstop = 4e-9;
+  opt.dt = 1e-9;
+  try {
+    sim::solve_tran(s.context(), zero_op(), opt);
+    FAIL() << "expected SimError";
+  } catch (const sim::SimError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("(Newton iteration 1)"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("at t=1.000000e-09 s"), std::string::npos) << msg;
+  }
   sim::sim_perf_reset();
 }
