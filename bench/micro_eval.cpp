@@ -201,12 +201,11 @@ BENCHMARK(BM_DdpgLockstep_TwoTia)->Arg(1)->Arg(2)->Arg(4)
 // seed-evaluations (cache disabled). Ask/tell is sequential within a
 // seed, so just like the DDPG row this is the cross-seed scaling number:
 // multi-thread rows should pull ahead of serial on an N-core machine.
-void BM_BayesOptLockstep_TwoTia(benchmark::State& state) {
+void bayes_opt_lockstep(benchmark::State& state, int steps) {
   env::EvalServiceConfig cfg;
   cfg.threads = static_cast<int>(state.range(0));
   cfg.cache_capacity = 0;
   constexpr int kSeeds = 4;
-  constexpr int kSteps = 8;
   for (auto _ : state) {
     state.PauseTiming();  // fresh optimizers/envs: identical work per iter
     const auto svc = std::make_shared<env::EvalService>(cfg);
@@ -219,15 +218,29 @@ void BM_BayesOptLockstep_TwoTia(benchmark::State& state) {
       opts.push_back(std::make_unique<opt::BayesOpt>(envs.back()->flat_dim(),
                                                      Rng(200 + s)));
       pairs.push_back(rl::OptimizerPair{envs.back().get(), opts.back().get(),
-                                        kSteps, -1});
+                                        steps, -1});
     }
     state.ResumeTiming();
     benchmark::DoNotOptimize(
         rl::run_optimizer_lockstep(pairs).front().best_fom);
   }
-  state.SetItemsProcessed(state.iterations() * kSeeds * kSteps);
+  state.SetItemsProcessed(state.iterations() * kSeeds * steps);
+}
+
+// 8 steps stay inside BayesOptOptions::initial_random (10): random
+// proposals only, so this row measures the sweep engine + simulator.
+void BM_BayesOptLockstep_TwoTia(benchmark::State& state) {
+  bayes_opt_lockstep(state, 8);
 }
 BENCHMARK(BM_BayesOptLockstep_TwoTia)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The real loop: 40 steps, so 30 of each seed's asks fit the GP and
+// query it (512-point batch plus 80 refinement predictions).
+void BM_BayesOptLockstep_TwoTia_Learning(benchmark::State& state) {
+  bayes_opt_lockstep(state, 40);
+}
+BENCHMARK(BM_BayesOptLockstep_TwoTia_Learning)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

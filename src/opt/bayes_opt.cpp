@@ -15,12 +15,20 @@ double norm_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 BayesOpt::BayesOpt(int dim, Rng rng, BayesOptOptions opt)
     : dim_(dim), rng_(rng), opt_(opt) {}
 
-double BayesOpt::expected_improvement(const std::vector<double>& x) const {
-  const GpPrediction p = gp_.predict(x);
+namespace {
+
+double expected_improvement_at(const GpPrediction& p, double best_y,
+                               double xi) {
   const double sd = std::sqrt(p.variance);
   if (sd < 1e-12) return 0.0;
-  const double z = (p.mean - best_y_ - opt_.xi) / sd;
-  return (p.mean - best_y_ - opt_.xi) * norm_cdf(z) + sd * norm_pdf(z);
+  const double z = (p.mean - best_y - xi) / sd;
+  return (p.mean - best_y - xi) * norm_cdf(z) + sd * norm_pdf(z);
+}
+
+}  // namespace
+
+double BayesOpt::expected_improvement(const std::vector<double>& x) const {
+  return expected_improvement_at(gp_.predict(x), best_y_, opt_.xi);
 }
 
 std::vector<std::vector<double>> BayesOpt::ask() {
@@ -46,16 +54,18 @@ std::vector<std::vector<double>> BayesOpt::ask() {
       }
     }
   }
+  const std::vector<GpPrediction> preds = gp_.predict_batch(cands);
   std::vector<double> acq(cands.size());
   for (std::size_t i = 0; i < cands.size(); ++i) {
-    acq[i] = expected_improvement(cands[i]);
+    acq[i] = expected_improvement_at(preds[i], best_y_, opt_.xi);
   }
   std::vector<int> order(cands.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
             [&](int a, int b) { return acq[a] > acq[b]; });
 
-  // Local coordinate refinement on the top candidates.
+  // Local coordinate refinement on the top candidates. Each accept/reject
+  // decides the next point, so these EIs stay single predictions.
   std::vector<double> best_x = cands[order[0]];
   double best_acq = acq[order[0]];
   for (int k = 0; k < std::min<int>(opt_.refine_top,
@@ -106,6 +116,21 @@ std::vector<int> gp_training_subset(const std::vector<double>& ys,
   return keep;
 }
 
+void fit_training_subset(GaussianProcess& gp,
+                         const std::vector<std::vector<double>>& xs,
+                         const std::vector<double>& ys, int max_points) {
+  const std::vector<int> keep = gp_training_subset(ys, max_points);
+  std::vector<std::vector<double>> x_fit;
+  std::vector<double> y_fit;
+  x_fit.reserve(keep.size());
+  y_fit.reserve(keep.size());
+  for (const int idx : keep) {
+    x_fit.push_back(xs[static_cast<std::size_t>(idx)]);
+    y_fit.push_back(ys[static_cast<std::size_t>(idx)]);
+  }
+  gp.fit(x_fit, y_fit);
+}
+
 void BayesOpt::tell(const std::vector<std::vector<double>>& xs,
                     const std::vector<double>& ys) {
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -117,16 +142,7 @@ void BayesOpt::tell(const std::vector<std::vector<double>>& xs,
 
   // Cap the GP training set: the best (max_gp_points - 1) by objective
   // plus the newest point, which always enters (see gp_training_subset).
-  const std::vector<int> keep = gp_training_subset(ys_, opt_.max_gp_points);
-  std::vector<std::vector<double>> x_fit;
-  std::vector<double> y_fit;
-  x_fit.reserve(keep.size());
-  y_fit.reserve(keep.size());
-  for (const int idx : keep) {
-    x_fit.push_back(xs_[static_cast<std::size_t>(idx)]);
-    y_fit.push_back(ys_[static_cast<std::size_t>(idx)]);
-  }
-  gp_.fit(x_fit, y_fit);
+  fit_training_subset(gp_, xs_, ys_, opt_.max_gp_points);
 }
 
 }  // namespace gcnrl::opt

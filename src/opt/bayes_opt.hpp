@@ -56,4 +56,10 @@ double norm_cdf(double z);
 std::vector<int> gp_training_subset(const std::vector<double>& ys,
                                     int max_points);
 
+// Fits gp to the points of (xs, ys) that gp_training_subset keeps, in its
+// order. BayesOpt and MACE both fit their surrogate this way.
+void fit_training_subset(GaussianProcess& gp,
+                         const std::vector<std::vector<double>>& xs,
+                         const std::vector<double>& ys, int max_points);
+
 }  // namespace gcnrl::opt

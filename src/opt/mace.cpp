@@ -40,9 +40,10 @@ std::vector<std::vector<double>> Mace::ask() {
   struct Acq {
     double ei, pi, ucb;
   };
+  const std::vector<GpPrediction> preds = gp_.predict_batch(pool);
   std::vector<Acq> acq(pool.size());
   for (std::size_t k = 0; k < pool.size(); ++k) {
-    const GpPrediction p = gp_.predict(pool[k]);
+    const GpPrediction& p = preds[k];
     const double sd = std::sqrt(p.variance);
     if (sd < 1e-12) {
       acq[k] = {0.0, 0.0, p.mean};
@@ -102,24 +103,9 @@ void Mace::tell(const std::vector<std::vector<double>>& xs,
     best_y_ = std::max(best_y_, ys[i]);
   }
   if (static_cast<int>(xs_.size()) < opt_.initial_random) return;
-  std::vector<std::vector<double>> x_fit = xs_;
-  std::vector<double> y_fit = ys_;
-  if (static_cast<int>(x_fit.size()) > opt_.max_gp_points) {
-    std::vector<int> order(x_fit.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](int a, int b) { return y_fit[a] > y_fit[b]; });
-    order.resize(opt_.max_gp_points);
-    std::vector<std::vector<double>> xk;
-    std::vector<double> yk;
-    for (int idx : order) {
-      xk.push_back(x_fit[idx]);
-      yk.push_back(y_fit[idx]);
-    }
-    x_fit = std::move(xk);
-    y_fit = std::move(yk);
-  }
-  gp_.fit(x_fit, y_fit);
+  // The same capped training set as BayesOpt: the best (max_gp_points - 1)
+  // points plus the newest, which always enters (see gp_training_subset).
+  fit_training_subset(gp_, xs_, ys_, opt_.max_gp_points);
 }
 
 }  // namespace gcnrl::opt

@@ -1,8 +1,13 @@
 // Shared helpers for the test suites (not part of the installed API).
 #pragma once
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
+#include <vector>
+
+#include "la/cholesky.hpp"
+#include "la/matrix.hpp"
 
 namespace gcnrl::testing {
 
@@ -37,5 +42,52 @@ class ScopedEnv {
   bool had_old_ = false;
   std::string old_;
 };
+
+// Per-entry references for la::Cholesky's blocked loops: the textbook
+// left-looking (dot-product) factorization and forward substitution. The
+// library's factor and solves must match these bit for bit (see the
+// operation-order contract in la/cholesky.hpp).
+inline la::Mat reference_cholesky(const la::Mat& a) {
+  const int n = a.rows();
+  la::Mat l(n, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j <= i; ++j) {
+      double sum = a(i, j);
+      for (int k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
+      if (i == j) {
+        if (sum <= 0.0 || !std::isfinite(sum)) {
+          throw la::NotPositiveDefiniteError{};
+        }
+        l(i, i) = std::sqrt(sum);
+      } else {
+        l(i, j) = sum / l(j, j);
+      }
+    }
+  }
+  return l;
+}
+
+inline std::vector<double> reference_solve_lower(const la::Mat& l,
+                                                 const std::vector<double>& b) {
+  const int n = l.rows();
+  std::vector<double> y(b);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < i; ++j) y[i] -= l(i, j) * y[j];
+    y[i] /= l(i, i);
+  }
+  return y;
+}
+
+// Solve L^T x = y (back substitution), as la::Cholesky::solve does after
+// the forward pass.
+inline std::vector<double> reference_solve_upper(const la::Mat& l,
+                                                 std::vector<double> y) {
+  const int n = l.rows();
+  for (int i = n - 1; i >= 0; --i) {
+    for (int j = i + 1; j < n; ++j) y[i] -= l(j, i) * y[j];
+    y[i] /= l(i, i);
+  }
+  return y;
+}
 
 }  // namespace gcnrl::testing

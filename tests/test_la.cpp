@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "la/matrix.hpp"
 #include "la/sparse.hpp"
 #include "la/stats.hpp"
+#include "test_helpers.hpp"
 
 namespace la = gcnrl::la;
 using gcnrl::Rng;
@@ -240,6 +242,107 @@ TEST(Cholesky, LogDetMatchesKnown) {
 TEST(Cholesky, ThrowsOnIndefinite) {
   la::Mat a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
   EXPECT_THROW(la::Cholesky{a}, la::NotPositiveDefiniteError);
+}
+
+namespace {
+
+bool same_bits(const la::Mat& a, const la::Mat& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// A = G G^T + shift * I: SPD for shift > 0, increasingly ill-conditioned
+// as rank(G) < n and shift -> 0.
+la::Mat gram_plus_shift(int n, int rank, double shift, Rng& rng) {
+  const la::Mat g = random_mat(n, rank, rng);
+  la::Mat a = la::matmul_nt(g, g);
+  for (int i = 0; i < n; ++i) a(i, i) += shift;
+  return a;
+}
+
+}  // namespace
+
+TEST(Cholesky, PanelFactorMatchesLeftLookingReferenceBitwise) {
+  // Sizes around the 4-column panel boundaries, plus GP-sized ones; both
+  // well- and ill-conditioned matrices.
+  Rng rng(31);
+  for (const int n : {1, 2, 3, 4, 5, 7, 8, 9, 37, 100}) {
+    for (const double shift : {1e-8, 1e-2, 1.0}) {
+      const la::Mat a = gram_plus_shift(n, std::max(1, n / 2), shift, rng);
+      const la::Mat ref = gcnrl::testing::reference_cholesky(a);
+      EXPECT_TRUE(same_bits(la::Cholesky(a).lower(), ref))
+          << "n=" << n << " shift=" << shift;
+    }
+  }
+}
+
+TEST(Cholesky, IgnoresTheUpperTriangle) {
+  Rng rng(32);
+  la::Mat a = gram_plus_shift(9, 9, 1.0, rng);
+  const la::Mat ref = gcnrl::testing::reference_cholesky(a);
+  for (int i = 0; i < 9; ++i) {
+    for (int j = i + 1; j < 9; ++j) a(i, j) = 1e300;
+  }
+  EXPECT_TRUE(same_bits(la::Cholesky(a).lower(), ref));
+}
+
+TEST(Cholesky, ThrowsOnExactlyTheMatricesTheReferenceRejects) {
+  // A failing pivot in the middle of the matrix (index 6 of 11, inside the
+  // second panel): a rank-deficient Gram matrix shifted down until pivot 6
+  // goes negative, plus a sweep of shifts around the boundary where the
+  // smallest eigenvalue crosses zero.
+  Rng rng(33);
+  const int n = 11;
+  la::Mat a = gram_plus_shift(n, n, 0.5, rng);
+  a(6, 6) = -1.0;
+  EXPECT_THROW(gcnrl::testing::reference_cholesky(a),
+               la::NotPositiveDefiniteError);
+  EXPECT_THROW(la::Cholesky{a}, la::NotPositiveDefiniteError);
+  const la::Mat g = gram_plus_shift(n, 5, 0.0, rng);  // rank 5: singular
+  int threw = 0;
+  for (int s = -20; s <= 20; ++s) {
+    la::Mat b = g;
+    for (int i = 0; i < n; ++i) b(i, i) += 1e-15 * s;
+    bool ref_threw = false;
+    la::Mat ref;
+    try {
+      ref = gcnrl::testing::reference_cholesky(b);
+    } catch (const la::NotPositiveDefiniteError&) {
+      ref_threw = true;
+    }
+    if (ref_threw) {
+      ++threw;
+      EXPECT_THROW(la::Cholesky{b}, la::NotPositiveDefiniteError) << s;
+    } else {
+      EXPECT_TRUE(same_bits(la::Cholesky(b).lower(), ref)) << s;
+    }
+  }
+  EXPECT_GT(threw, 0);
+  EXPECT_LT(threw, 41);
+}
+
+TEST(Cholesky, BlockedSolveMatchesDotProductSolveBitwise) {
+  // Column counts below, at and around the 8-column register block.
+  Rng rng(34);
+  for (const int n : {1, 2, 37, 100}) {
+    const la::Cholesky chol(gram_plus_shift(n, n, 1e-3, rng));
+    for (const int m : {1, 7, 8, 9, 33}) {
+      const la::Mat b = random_mat(n, m, rng);
+      la::Mat x = b;
+      chol.solve_lower_in_place(x);
+      for (int c = 0; c < m; ++c) {
+        std::vector<double> col(n);
+        for (int i = 0; i < n; ++i) col[i] = b(i, c);
+        const auto ref =
+            gcnrl::testing::reference_solve_lower(chol.lower(), col);
+        EXPECT_EQ(chol.solve_lower(col), ref) << "n=" << n << " c=" << c;
+        for (int i = 0; i < n; ++i) {
+          ASSERT_EQ(std::memcmp(&x(i, c), &ref[i], sizeof(double)), 0)
+              << "n=" << n << " m=" << m << " row " << i << " col " << c;
+        }
+      }
+    }
+  }
 }
 
 TEST(Stats, MeanStd) {
