@@ -156,43 +156,55 @@ BENCHMARK_CAPTURE(BM_SingleEval_PerAnalysis, ldo, "LDO")
     ->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Lockstep multi-seed DDPG throughput: 4 (env, agent) pairs sharing one
-// EvalService, stepped via rl::run_ddpg_lockstep. items_per_second counts
-// seed-steps (one simulation each, cache disabled); agents stay in their
-// warm-up phase so the number measures the sweep engine + simulator, not
-// network updates. On an N-core machine the multi-thread rows should pull
-// ahead of serial — this is the "seeds/sec" scaling number behind the
-// parallel bench::sweep path.
-void BM_DdpgLockstep_TwoTia(benchmark::State& state) {
+// EvalService, stepped via rl::run_ddpg_lockstep — the driver behind
+// api::run_tasks' GCN-RL / NG-RL seed groups. items_per_second counts
+// seed-steps (one simulation each, cache disabled). Every iteration starts
+// from fresh agents, so it repeats identical work. On an N-core machine
+// the multi-thread rows should pull ahead of serial.
+void ddpg_lockstep(benchmark::State& state, int steps, int warmup) {
   env::EvalServiceConfig cfg;
   cfg.threads = static_cast<int>(state.range(0));
   cfg.cache_capacity = 0;
-  const auto svc = std::make_shared<env::EvalService>(cfg);
   constexpr int kSeeds = 4;
-  constexpr int kSteps = 8;
-  std::vector<std::unique_ptr<env::SizingEnv>> envs;
-  std::vector<std::unique_ptr<rl::DdpgAgent>> agents;
-  std::vector<env::SizingEnv*> env_ptrs;
-  std::vector<rl::DdpgAgent*> agent_ptrs;
   rl::DdpgConfig rl_cfg;
-  rl_cfg.warmup = 1 << 30;  // never leave warm-up: no NN updates measured
-  for (int s = 0; s < kSeeds; ++s) {
-    envs.push_back(std::make_unique<env::SizingEnv>(
-        circuits::make_two_tia(kTech), env::IndexMode::OneHot, svc));
-    agents.push_back(std::make_unique<rl::DdpgAgent>(
-        envs.back()->state(), envs.back()->adjacency(), envs.back()->kinds(),
-        rl_cfg, Rng(100 + s)));
-    env_ptrs.push_back(envs.back().get());
-    agent_ptrs.push_back(agents.back().get());
-  }
+  rl_cfg.warmup = warmup;
   for (auto _ : state) {
+    state.PauseTiming();
+    const auto svc = std::make_shared<env::EvalService>(cfg);
+    std::vector<std::unique_ptr<env::SizingEnv>> envs;
+    std::vector<std::unique_ptr<rl::DdpgAgent>> agents;
+    std::vector<env::SizingEnv*> env_ptrs;
+    std::vector<rl::DdpgAgent*> agent_ptrs;
+    for (int s = 0; s < kSeeds; ++s) {
+      envs.push_back(std::make_unique<env::SizingEnv>(
+          circuits::make_two_tia(kTech), env::IndexMode::OneHot, svc));
+      agents.push_back(std::make_unique<rl::DdpgAgent>(
+          envs.back()->state(), envs.back()->adjacency(),
+          envs.back()->kinds(), rl_cfg, Rng(100 + s)));
+      env_ptrs.push_back(envs.back().get());
+      agent_ptrs.push_back(agents.back().get());
+    }
+    state.ResumeTiming();
     benchmark::DoNotOptimize(
-        rl::run_ddpg_lockstep(env_ptrs, agent_ptrs, kSteps)
-            .front()
-            .best_fom);
+        rl::run_ddpg_lockstep(env_ptrs, agent_ptrs, steps).front().best_fom);
   }
-  state.SetItemsProcessed(state.iterations() * kSeeds * kSteps);
+  state.SetItemsProcessed(state.iterations() * kSeeds * steps);
+}
+
+// 8 steps that never leave warm-up: no network updates, so this row
+// measures the lockstep engine + simulator.
+void BM_DdpgLockstep_TwoTia(benchmark::State& state) {
+  ddpg_lockstep(state, 8, 1 << 30);
 }
 BENCHMARK(BM_DdpgLockstep_TwoTia)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The real loop: 24 steps after a 12-step warm-up, so each seed runs 12
+// learning steps (4 critic + actor updates each) as pool tasks.
+void BM_DdpgLockstep_TwoTia_Learning(benchmark::State& state) {
+  ddpg_lockstep(state, 24, 12);
+}
+BENCHMARK(BM_DdpgLockstep_TwoTia_Learning)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Lockstep multi-seed black-box throughput: 4 (env, BayesOpt) pairs

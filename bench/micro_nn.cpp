@@ -1,8 +1,9 @@
-// google-benchmark microbenchmarks for the learner substrate: GCN
-// forward/backward and one full DDPG update at the agent's real sizes,
-// plus the BO/MACE Gaussian-process fit and predictions.
+// google-benchmark microbenchmarks for the learner substrate: the matmul
+// kernel, GCN forward/backward and one full DDPG update at the agent's
+// real sizes, plus the BO/MACE Gaussian-process fit and predictions.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "circuits/benchmark_circuits.hpp"
@@ -14,22 +15,69 @@ using namespace gcnrl;
 
 namespace {
 
-void BM_Matmul(benchmark::State& state) {
+// C = A·B, Aᵀ·B or A·Bᵀ for C of shape n x m with inner dimension k,
+// (n, k, m) = the row's arguments. Half of A's entries are zero, as in
+// the ReLU'd activations and gradients the learner multiplies. The
+// learner's products: H·W and G·Wᵀ at 9 x 32 x 32, Hᵀ·G at 32 x 9 x 32.
+enum class MatmulForm { kNN, kTN, kNT };
+
+void BM_Matmul(benchmark::State& state, MatmulForm form) {
   const int n = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int m = static_cast<int>(state.range(2));
   Rng rng(1);
-  la::Mat a(n, n), b(n, n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      a(i, j) = rng.uniform(-1, 1);
-      b(i, j) = rng.uniform(-1, 1);
-    }
+  la::Mat a = form == MatmulForm::kTN ? la::Mat(k, n) : la::Mat(n, k);
+  la::Mat b = form == MatmulForm::kNT ? la::Mat(m, k) : la::Mat(k, m);
+  for (std::size_t e = 0; e < a.size(); ++e) {
+    if (rng.uniform(0, 1) < 0.5) a.data()[e] = rng.uniform(-1, 1);
   }
+  for (std::size_t e = 0; e < b.size(); ++e) b.data()[e] = rng.uniform(-1, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(la::matmul(a, b).data());
+    const la::Mat c = form == MatmulForm::kNN   ? la::matmul(a, b)
+                      : form == MatmulForm::kTN ? la::matmul_tn(a, b)
+                                                : la::matmul_nt(a, b);
+    benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * 2l * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2l * n * k * m);
 }
-BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_Matmul, nn, MatmulForm::kNN)
+    ->Args({9, 32, 32})->Args({32, 32, 32})->Args({64, 64, 64})
+    ->Args({128, 128, 128});
+BENCHMARK_CAPTURE(BM_Matmul, tn, MatmulForm::kTN)->Args({32, 9, 32});
+BENCHMARK_CAPTURE(BM_Matmul, nt, MatmulForm::kNT)->Args({9, 32, 32});
+
+// One critic step of Algorithm 1 at the agent's real sizes: Two-TIA
+// (9 components), hidden 32, 7 GCN layers, a 32-transition batch streamed
+// through one arena tape.
+void BM_CriticBackward_TwoTia(benchmark::State& state) {
+  const auto tech = circuit::make_technology("180nm");
+  const env::SizingEnv env(circuits::make_two_tia(tech));
+  rl::NetworkConfig nc;
+  nc.state_dim = env.state_dim();
+  Rng rng(7);
+  rl::GcnCritic critic(nc, rng);
+  const auto masks = rl::make_type_masks(env.kinds(), nc.hidden);
+  const la::Mat a_hat = nn::normalized_adjacency(env.adjacency());
+  std::vector<rl::Transition> pool(32);
+  for (rl::Transition& t : pool) {
+    t.actions = la::Mat(env.n(), circuit::kMaxActionDim);
+    for (std::size_t e = 0; e < t.actions.size(); ++e) {
+      t.actions.data()[e] = rng.uniform(-1.0, 1.0);
+    }
+    t.reward = rng.uniform(-1.0, 1.0);
+  }
+  std::vector<const rl::Transition*> batch;
+  for (const rl::Transition& t : pool) batch.push_back(&t);
+  for (auto _ : state) {
+    critic.zero_grad();
+    rl::critic_backward(critic, env.state(), a_hat, masks, batch, 0.1);
+    benchmark::DoNotOptimize(critic.parameters().front()->grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch.size()));
+}
+BENCHMARK(BM_CriticBackward_TwoTia)->Unit(benchmark::kMicrosecond);
 
 void BM_ActorForward(benchmark::State& state) {
   const auto tech = circuit::make_technology("180nm");

@@ -3,7 +3,8 @@
 // Shapes follow the "rows = graph nodes / batch entries, cols = features"
 // convention used throughout the NN stack. Every op asserts its shape
 // contract; the pull-backs are verified against numerical gradients in
-// tests/test_autograd.cpp.
+// tests/test_autograd.cpp. The constant matrices k and mask are
+// referenced by the tape, not copied: they must outlive Tape::backward().
 #pragma once
 
 #include "autograd/tape.hpp"

@@ -1,57 +1,92 @@
 #include "autograd/tape.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
 namespace gcnrl::ag {
+namespace {
 
-Var Tape::input(la::Mat value) {
-  auto node = std::make_unique<Node>();
-  node->grad = la::Mat(value.rows(), value.cols());
-  node->val = std::move(value);
-  node->requires_grad = true;
-  Node* raw = node.get();
-  nodes_.push_back(std::move(node));
-  return Var(this, raw);
+// First chunk of 128 KiB; each later one doubles, so a graph of any size
+// needs O(log) chunks (two hold one Two-TIA critic sample).
+constexpr std::size_t kFirstChunk = std::size_t{1} << 14;
+
+}  // namespace
+
+MatView::operator la::Mat() const {
+  la::Mat m(rows_, cols_);
+  std::copy(data_, data_ + size(), m.data());
+  return m;
 }
 
-Var Tape::constant(la::Mat value) {
-  auto node = std::make_unique<Node>();
-  node->grad = la::Mat(value.rows(), value.cols());
-  node->val = std::move(value);
-  node->requires_grad = false;
-  Node* raw = node.get();
-  nodes_.push_back(std::move(node));
-  return Var(this, raw);
-}
-
-Var Tape::make(la::Mat value, bool requires_grad,
-               std::function<void()> pullback) {
-  auto node = std::make_unique<Node>();
-  node->grad = la::Mat(value.rows(), value.cols());
-  node->val = std::move(value);
-  node->requires_grad = requires_grad;
-  if (requires_grad) node->pullback = std::move(pullback);
-  Node* raw = node.get();
-  nodes_.push_back(std::move(node));
-  return Var(this, raw);
-}
-
-void Tape::backward(const Var& root) {
-  if (root.tape() != this) {
-    throw std::invalid_argument("Tape::backward: var from another tape");
+double* Tape::allocate(std::size_t count) {
+  for (; chunk_ < chunks_.size(); ++chunk_, used_ = 0) {
+    Chunk& c = chunks_[chunk_];
+    if (c.size - used_ >= count) {
+      double* p = c.data.get() + used_;
+      used_ += count;
+      return p;
+    }
   }
-  if (root.rows() != 1 || root.cols() != 1) {
-    throw std::invalid_argument("Tape::backward: root must be a 1x1 scalar");
-  }
-  root.node()->grad(0, 0) = 1.0;
-  // Creation order is a valid topological order: every node's parents were
-  // created before it, so a reverse sweep sees each child before parents.
-  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
-    Node* n = it->get();
-    if (n->requires_grad && n->pullback) n->pullback();
-  }
+  const std::size_t size = std::max(
+      count, chunks_.empty() ? kFirstChunk : 2 * chunks_.back().size);
+  chunks_.push_back({std::make_unique_for_overwrite<double[]>(size), size});
+  chunk_ = chunks_.size() - 1;
+  used_ = count;
+  return chunks_.back().data.get();
 }
 
-void Tape::clear() { nodes_.clear(); }
+Tape::Recorded Tape::record(Node n) {
+  const std::size_t size = n.size();
+  double* val = nullptr;
+  if (n.val == nullptr) {
+    val = allocate(2 * size);
+    n.val = val;
+    n.grad = val + size;
+  } else {
+    n.grad = allocate(size);
+  }
+  std::fill_n(n.grad, size, 0.0);
+  nodes_.push_back(n);
+  return {Var(this, static_cast<int>(nodes_.size()) - 1), val};
+}
+
+double* Tape::scratch(std::size_t count) {
+  if (scratch_.size() < count) scratch_.resize(count);
+  return scratch_.data();
+}
+
+Var Tape::leaf_copy(const la::Mat& value, Op op) {
+  Node n;
+  n.op = op;
+  n.requires_grad = op == Op::kInput;
+  n.rows = value.rows();
+  n.cols = value.cols();
+  const Recorded r = record(n);
+  std::copy(value.data(), value.data() + value.size(), r.val);
+  return r.var;
+}
+
+Var Tape::input(const la::Mat& value) { return leaf_copy(value, Op::kInput); }
+
+Var Tape::constant(const la::Mat& value) {
+  return leaf_copy(value, Op::kConstant);
+}
+
+Var Tape::parameter(const la::Mat& value, la::Mat* grad) {
+  assert(grad == nullptr || grad->same_shape(value));
+  Node n;
+  n.op = grad != nullptr ? Op::kParameter : Op::kConstant;
+  n.requires_grad = grad != nullptr;
+  n.rows = value.rows();
+  n.cols = value.cols();
+  n.sink = grad;
+  n.val = value.data();
+  return record(n).var;
+}
+
+void Tape::clear() {
+  nodes_.clear();
+  chunk_ = 0;
+  used_ = 0;
+}
 
 }  // namespace gcnrl::ag

@@ -3,8 +3,8 @@
 // This is the numerical workhorse shared by the neural-network stack
 // (real matrices) and the circuit simulator's MNA systems (complex
 // matrices for AC analysis). It deliberately stays small: dynamic 2-D
-// storage, elementwise arithmetic, and a cache-friendly matmul. Anything
-// fancier (LU, Cholesky) lives in sibling headers.
+// storage, elementwise arithmetic, and one register-blocked real matmul
+// kernel. Anything fancier (LU, Cholesky) lives in sibling headers.
 #pragma once
 
 #include <cassert>
@@ -106,61 +106,36 @@ class Matrix {
 using Mat = Matrix<double>;
 using CMat = Matrix<std::complex<double>>;
 
-// C = A * B with an i-k-j loop order (streams B's rows; vectorizes well).
-template <typename T>
-Matrix<T> matmul(const Matrix<T>& a, const Matrix<T>& b) {
-  assert(a.cols() == b.rows());
-  Matrix<T> c(a.rows(), b.cols());
-  const int n = a.rows(), k_dim = a.cols(), m = b.cols();
-  for (int i = 0; i < n; ++i) {
-    T* __restrict ci = c.row_ptr(i);
-    for (int k = 0; k < k_dim; ++k) {
-      const T aik = a(i, k);
-      if (aik == T{}) continue;
-      const T* __restrict bk = b.row_ptr(k);
-      for (int j = 0; j < m; ++j) ci[j] += aik * bk[j];
-    }
-  }
-  return c;
-}
+// --- matrix products -------------------------------------------------
+//
+// One register-blocked kernel serves every real matrix product: C = A·B,
+// or C += A·B when `accumulate` is set. A is addressed through strides,
+// A(i, p) = a[i * a_row + p * a_col], so Aᵀ·B is the same call with the
+// strides swapped; B and C are row-major with leading dimensions ldb and
+// ldc. Each row of C is computed 16 columns at a time in eight Double2
+// (la/simd.hpp) accumulators held in registers across the whole p loop,
+// then 8, then 2, then one. Eight independent add chains hide the add
+// latency that four leave exposed at the learner's 9 x 32 x 32 shapes.
+//
+// Op-order contract (what callers may rely on bit for bit): every c(i, j)
+// is the p-ordered sum, from +0, of the products a(i, p)·b(p, j) taken in
+// ascending p, skipping each term whose a(i, p) compares equal to 0 (so
+// ±0 entries of A cost nothing). With `accumulate`, that finished sum is
+// added to the old c(i, j) once: exactly `c += (A·B)` through a temporary.
+// No FMA contraction: the build targets baseline x86-64 / AArch64 without
+// -march or -ffast-math, and each lane op is one IEEE multiply or add.
+// For finite inputs the skipped terms change nothing: a sum from +0 is
+// never -0, and adding ±0 to it leaves it unchanged.
+void matmul_kernel(int n, int k, int m, const double* a, std::ptrdiff_t a_row,
+                   std::ptrdiff_t a_col, const double* b, std::ptrdiff_t ldb,
+                   double* c, std::ptrdiff_t ldc, bool accumulate);
 
-// C = A^T * B without materializing the transpose (hot in backprop).
-template <typename T>
-Matrix<T> matmul_tn(const Matrix<T>& a, const Matrix<T>& b) {
-  assert(a.rows() == b.rows());
-  Matrix<T> c(a.cols(), b.cols());
-  const int n = a.rows(), p = a.cols(), m = b.cols();
-  for (int k = 0; k < n; ++k) {
-    const T* __restrict ak = a.row_ptr(k);
-    const T* __restrict bk = b.row_ptr(k);
-    for (int i = 0; i < p; ++i) {
-      const T aki = ak[i];
-      if (aki == T{}) continue;
-      T* __restrict ci = c.row_ptr(i);
-      for (int j = 0; j < m; ++j) ci[j] += aki * bk[j];
-    }
-  }
-  return c;
-}
-
-// C = A * B^T without materializing the transpose (hot in backprop).
-template <typename T>
-Matrix<T> matmul_nt(const Matrix<T>& a, const Matrix<T>& b) {
-  assert(a.cols() == b.cols());
-  Matrix<T> c(a.rows(), b.rows());
-  const int n = a.rows(), k_dim = a.cols(), m = b.rows();
-  for (int i = 0; i < n; ++i) {
-    const T* __restrict ai = a.row_ptr(i);
-    T* __restrict ci = c.row_ptr(i);
-    for (int j = 0; j < m; ++j) {
-      const T* __restrict bj = b.row_ptr(j);
-      T acc{};
-      for (int k = 0; k < k_dim; ++k) acc += ai[k] * bj[k];
-      ci[j] = acc;
-    }
-  }
-  return c;
-}
+// C = A·B.
+Mat matmul(const Mat& a, const Mat& b);
+// C = Aᵀ·B without materializing the transpose.
+Mat matmul_tn(const Mat& a, const Mat& b);
+// C = A·Bᵀ: the kernel runs against a transposed copy of B.
+Mat matmul_nt(const Mat& a, const Mat& b);
 
 template <typename T>
 Matrix<T> hadamard(const Matrix<T>& a, const Matrix<T>& b) {

@@ -1,5 +1,6 @@
 // Two-lane double vectors for the hand-blocked loops of the GP layer
-// (la::Cholesky::solve_lower_in_place, GaussianProcess::predict_batch).
+// (la::Cholesky::solve_lower_in_place, GaussianProcess::predict_batch)
+// and of the matmul kernel (la::matmul_kernel).
 //
 // A GCC/Clang vector extension: one SSE2 register on baseline x86-64, one
 // NEON register on AArch64. Every operation is a lane-wise IEEE double

@@ -32,9 +32,10 @@ GcnLayer::GcnLayer(std::string name, int in_features, int out_features,
     : w_(name + ".w", xavier_uniform(in_features, out_features, rng)),
       b_(name + ".b", la::Mat(1, out_features)) {}
 
-ag::Var GcnLayer::forward(ag::Tape& tape, ag::Var h, const la::Mat& a_hat) {
-  ag::Var w = leaf(tape, w_);
-  ag::Var b = leaf(tape, b_);
+ag::Var GcnLayer::forward(ag::Tape& tape, ag::Var h, const la::Mat& a_hat,
+                          Params mode) {
+  ag::Var w = leaf(tape, w_, mode);
+  ag::Var b = leaf(tape, b_, mode);
   ag::Var agg = ag::matmul_const_left(a_hat, h);
   return ag::add_row_broadcast(ag::matmul(agg, w), b);
 }

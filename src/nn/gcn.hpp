@@ -22,8 +22,9 @@ class GcnLayer : public Module {
  public:
   GcnLayer(std::string name, int in_features, int out_features, Rng& rng);
 
-  // h: n x in_features; a_hat: n x n (constant).
-  ag::Var forward(ag::Tape& tape, ag::Var h, const la::Mat& a_hat);
+  // h: n x in_features; a_hat: n x n (constant, referenced by the tape).
+  ag::Var forward(ag::Tape& tape, ag::Var h, const la::Mat& a_hat,
+                  Params mode = Params::kTrain);
 
   std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
 

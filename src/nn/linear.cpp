@@ -10,9 +10,9 @@ Linear::Linear(std::string name, int in_features, int out_features, Rng& rng,
                                          rng)),
       b_(name + ".b", la::Mat(1, out_features)) {}
 
-ag::Var Linear::forward(ag::Tape& tape, ag::Var x) {
-  ag::Var w = leaf(tape, w_);
-  ag::Var b = leaf(tape, b_);
+ag::Var Linear::forward(ag::Tape& tape, ag::Var x, Params mode) {
+  ag::Var w = leaf(tape, w_, mode);
+  ag::Var b = leaf(tape, b_, mode);
   return ag::add_row_broadcast(ag::matmul(x, w), b);
 }
 

@@ -18,7 +18,7 @@ class Linear : public Module {
   Linear(std::string name, int in_features, int out_features, Rng& rng,
          double out_scale = -1.0);
 
-  ag::Var forward(ag::Tape& tape, ag::Var x);
+  ag::Var forward(ag::Tape& tape, ag::Var x, Params mode = Params::kTrain);
 
   std::vector<Parameter*> parameters() override { return {&w_, &b_}; }
   [[nodiscard]] int in_features() const { return w_.value.rows(); }

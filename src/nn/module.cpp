@@ -2,12 +2,8 @@
 
 namespace gcnrl::nn {
 
-ag::Var Module::leaf(ag::Tape& tape, Parameter& p) {
-  Parameter* pp = &p;
-  ag::Var v = tape.make(p.value, true, nullptr);
-  ag::Node* node = v.node();
-  node->pullback = [pp, node] { pp->grad += node->grad; };
-  return v;
+ag::Var Module::leaf(ag::Tape& tape, Parameter& p, Params mode) {
+  return tape.parameter(p.value, mode == Params::kTrain ? &p.grad : nullptr);
 }
 
 }  // namespace gcnrl::nn

@@ -3,9 +3,9 @@
 // A Parameter owns its value and gradient buffers; Modules expose their
 // parameters so optimizers (nn::Adam) and the weight (de)serializer can
 // iterate them generically. Forward passes are written against an
-// ag::Tape: Module::leaf() lifts a Parameter onto the tape as a
-// differentiable node whose gradient is accumulated back into the
-// Parameter at the end of Tape::backward().
+// ag::Tape: Module::leaf() lifts a Parameter onto the tape as a node that
+// references its value (no copy) and whose gradient Tape::backward() adds
+// into Parameter::grad.
 #pragma once
 
 #include <string>
@@ -15,6 +15,12 @@
 #include "autograd/tape.hpp"
 
 namespace gcnrl::nn {
+
+// How a forward pass lifts a module's parameters. kTrain: differentiable
+// leaves whose gradient reaches Parameter::grad. kFrozen: constants, for a
+// pass that differentiates only its inputs (the DDPG actor step through
+// the critic).
+enum class Params { kTrain, kFrozen };
 
 struct Parameter {
   std::string name;
@@ -40,9 +46,11 @@ class Module {
   }
 
  protected:
-  // Lift a parameter onto a tape. The returned Var's pull-back adds the
-  // node gradient into p.grad, so gradients survive Tape::clear().
-  static ag::Var leaf(ag::Tape& tape, Parameter& p);
+  // Lift a parameter onto a tape by reference (see ag::Tape's lifetime
+  // rules). With kTrain, backward() adds the leaf's gradient into p.grad,
+  // so gradients survive Tape::clear().
+  static ag::Var leaf(ag::Tape& tape, Parameter& p,
+                      Params mode = Params::kTrain);
 };
 
 }  // namespace gcnrl::nn

@@ -92,18 +92,18 @@ void DdpgAgent::update() {
   opt_critic_.step();
 
   // --- actor: ascend Q(S, mu(S)) ---------------------------------------
+  // The critic is frozen on this tape: the gradient reaches the actor's
+  // parameters through the actions and computes no critic weight grads.
   actor_.zero_grad();
-  critic_.zero_grad();  // critic params receive grads here; discard them
   {
     ag::Tape tape;
     ag::Var a = actor_.forward(tape, tape.constant(state_), a_hat_, masks_);
     ag::Var q = critic_.forward(tape, tape.constant(state_), a, a_hat_,
-                                masks_);
+                                masks_, nn::Params::kFrozen);
     ag::Var loss = ag::scale(q, -1.0);
     tape.backward(loss);
   }
   opt_actor_.step();
-  critic_.zero_grad();
 }
 
 void DdpgAgent::save(const std::string& path) {

@@ -94,20 +94,21 @@ GcnCritic::GcnCritic(const NetworkConfig& cfg, Rng& rng)
 }
 
 ag::Var GcnCritic::forward(ag::Tape& tape, ag::Var state, ag::Var actions,
-                           const la::Mat& a_hat, const TypeMasks& masks) {
+                           const la::Mat& a_hat, const TypeMasks& masks,
+                           nn::Params mode) {
   // Shared state FC + per-type action encoders (Fig. 3 critic first layer).
-  ag::Var h = fc_state_.forward(tape, state);
+  ag::Var h = fc_state_.forward(tape, state, mode);
   for (int k = 0; k < circuit::kNumKinds; ++k) {
-    ag::Var enc = ag::hadamard_const(encoders_[k]->forward(tape, actions),
-                                     masks.hidden[k]);
+    ag::Var enc = ag::hadamard_const(
+        encoders_[k]->forward(tape, actions, mode), masks.hidden[k]);
     h = ag::add(h, enc);
   }
   h = ag::relu(h);
   for (auto& layer : gcn_) {
-    h = ag::add(ag::relu(layer->forward(tape, h, a_hat)), h);
+    h = ag::add(ag::relu(layer->forward(tape, h, a_hat, mode)), h);
   }
   // Shared value head; predicted reward = mean over component nodes.
-  return ag::mean_all(head_.forward(tape, h));
+  return ag::mean_all(head_.forward(tape, h, mode));
 }
 
 double GcnCritic::value(const la::Mat& state, const la::Mat& actions,

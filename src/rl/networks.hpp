@@ -63,9 +63,12 @@ class GcnCritic : public nn::Module {
  public:
   GcnCritic(const NetworkConfig& cfg, Rng& rng);
 
-  // Q(S, A): returns a 1x1 Var.
+  // Q(S, A): returns a 1x1 Var. With nn::Params::kFrozen the critic's
+  // parameters go on the tape as constants, so backward() reaches only
+  // the state/action inputs (the actor step).
   ag::Var forward(ag::Tape& tape, ag::Var state, ag::Var actions,
-                  const la::Mat& a_hat, const TypeMasks& masks);
+                  const la::Mat& a_hat, const TypeMasks& masks,
+                  nn::Params mode = nn::Params::kTrain);
   double value(const la::Mat& state, const la::Mat& actions,
                const la::Mat& a_hat, const TypeMasks& masks);
 

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -89,5 +91,27 @@ inline std::vector<double> reference_solve_upper(const la::Mat& l,
   }
   return y;
 }
+
+// The bits of a double, for bitwise comparisons and golden hashes.
+inline std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// FNV-1a over the bits of a stream of doubles: the golden-transcript hash.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ULL;
+  void add(double v) {
+    const std::uint64_t bits = bits_of(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(const la::Mat& m) {
+    for (std::size_t e = 0; e < m.size(); ++e) add(m.data()[e]);
+  }
+};
 
 }  // namespace gcnrl::testing

@@ -20,6 +20,11 @@ using gcnrl::Rng;
 
 namespace {
 
+bool same_bits(const la::Mat& a, const la::Mat& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 la::Mat random_mat(int r, int c, Rng& rng, double scale = 1.0) {
   la::Mat m(r, c);
   for (int i = 0; i < r; ++i) {
@@ -119,6 +124,99 @@ TEST(Matrix, MatmulTransposedVariantsAgree) {
   for (int i = 0; i < e1.rows(); ++i) {
     for (int j = 0; j < e1.cols(); ++j) {
       EXPECT_NEAR(e1(i, j), e2(i, j), 1e-12);
+    }
+  }
+}
+
+namespace {
+
+// The three loops la::matmul / matmul_tn / matmul_nt ran before they
+// became strided calls of one register-blocked kernel, kept as the
+// bit-for-bit references.
+la::Mat reference_matmul(const la::Mat& a, const la::Mat& b) {
+  la::Mat c(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    double* ci = c.row_ptr(i);
+    for (int k = 0; k < a.cols(); ++k) {
+      const double aik = a(i, k);
+      if (aik == 0.0) continue;
+      const double* bk = b.row_ptr(k);
+      for (int j = 0; j < b.cols(); ++j) ci[j] += aik * bk[j];
+    }
+  }
+  return c;
+}
+
+la::Mat reference_matmul_tn(const la::Mat& a, const la::Mat& b) {
+  la::Mat c(a.cols(), b.cols());
+  for (int k = 0; k < a.rows(); ++k) {
+    const double* ak = a.row_ptr(k);
+    const double* bk = b.row_ptr(k);
+    for (int i = 0; i < a.cols(); ++i) {
+      const double aki = ak[i];
+      if (aki == 0.0) continue;
+      double* ci = c.row_ptr(i);
+      for (int j = 0; j < b.cols(); ++j) ci[j] += aki * bk[j];
+    }
+  }
+  return c;
+}
+
+la::Mat reference_matmul_nt(const la::Mat& a, const la::Mat& b) {
+  la::Mat c(a.rows(), b.rows());
+  for (int i = 0; i < a.rows(); ++i) {
+    const double* ai = a.row_ptr(i);
+    double* ci = c.row_ptr(i);
+    for (int j = 0; j < b.rows(); ++j) {
+      const double* bj = b.row_ptr(j);
+      double acc = 0.0;
+      for (int k = 0; k < a.cols(); ++k) acc += ai[k] * bj[k];
+      ci[j] = acc;
+    }
+  }
+  return c;
+}
+
+// About half the entries zero, a quarter of those -0.0, the rest spread
+// over six decades so that summation order shows in the bits.
+la::Mat sparse_signed_mat(int r, int c, Rng& rng) {
+  la::Mat m(r, c);
+  for (std::size_t e = 0; e < m.size(); ++e) {
+    const double u = rng.uniform(0.0, 1.0);
+    if (u < 0.375) continue;
+    m.data()[e] = u < 0.5 ? -0.0
+                          : rng.uniform(-1.0, 1.0) *
+                                std::pow(10.0, rng.uniform(-3.0, 3.0));
+  }
+  return m;
+}
+
+}  // namespace
+
+TEST(Matrix, BlockedKernelMatchesReferenceLoopsBitwise) {
+  Rng rng(2024);
+  for (const int n : {1, 9, 33}) {
+    for (const int k : {1, 3, 18, 32}) {
+      for (const int m : {1, 3, 7, 8, 9, 32, 33}) {
+        SCOPED_TRACE(testing::Message() << n << "x" << k << "x" << m);
+        const la::Mat a = sparse_signed_mat(n, k, rng);
+        const la::Mat at = sparse_signed_mat(k, n, rng);
+        const la::Mat b = sparse_signed_mat(k, m, rng);
+        const la::Mat bt = sparse_signed_mat(m, k, rng);
+        EXPECT_TRUE(same_bits(la::matmul(a, b), reference_matmul(a, b)));
+        EXPECT_TRUE(
+            same_bits(la::matmul_tn(at, b), reference_matmul_tn(at, b)));
+        EXPECT_TRUE(
+            same_bits(la::matmul_nt(a, bt), reference_matmul_nt(a, bt)));
+        // Accumulating form, as the autograd pull-backs call it:
+        // exactly c += (A·B) through a temporary.
+        la::Mat c = sparse_signed_mat(n, m, rng);
+        la::Mat want = c;
+        want += reference_matmul(a, b);
+        la::matmul_kernel(n, k, m, a.data(), k, 1, b.data(), m, c.data(), m,
+                          true);
+        EXPECT_TRUE(same_bits(c, want));
+      }
     }
   }
 }
@@ -245,11 +343,6 @@ TEST(Cholesky, ThrowsOnIndefinite) {
 }
 
 namespace {
-
-bool same_bits(const la::Mat& a, const la::Mat& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
 
 // A = G G^T + shift * I: SPD for shift > 0, increasingly ill-conditioned
 // as rank(G) < n and shift -> 0.

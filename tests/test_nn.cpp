@@ -1,6 +1,7 @@
 // Tests for the NN stack: Linear, GCN layer, Adam, init, serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -136,10 +137,7 @@ TEST(Adam, MinimizesQuadratic) {
   for (int it = 0; it < 500; ++it) {
     quad.zero_grad();
     ag::Tape tape;
-    ag::Var x = tape.make(quad.p.value, true, nullptr);
-    ag::Node* node = x.node();
-    nn::Parameter* pp = &quad.p;
-    node->pullback = [pp, node] { pp->grad += node->grad; };
+    ag::Var x = tape.parameter(quad.p.value, &quad.p.grad);
     ag::Var loss = ag::mse_const(x, target);
     tape.backward(loss);
     opt.step();
@@ -147,6 +145,45 @@ TEST(Adam, MinimizesQuadratic) {
   for (int c = 0; c < 4; ++c) {
     EXPECT_NEAR(quad.p.value(0, c), target(0, c), 1e-3);
   }
+}
+
+TEST(Module, LeafLiftedTwiceAddsEachLeafsSumOnce) {
+  // One parameter lifted twice on one tape: leaf A used twice, leaf B
+  // once. The reverse sweep reaches B's uses, then A's, then leaf B, then
+  // leaf A, so p.grad must be (g0 + x3) + (x2 + x1) bit for bit: each
+  // leaf's uses summed on the node first, each leaf added into p.grad once.
+  struct Lifter : nn::Module {
+    nn::Parameter p{"p", la::Mat(3, 4)};
+    std::vector<nn::Parameter*> parameters() override { return {&p}; }
+    ag::Var lift(ag::Tape& t) { return leaf(t, p); }
+  } m;
+  Rng rng(11);
+  la::Mat x1(3, 4), x2(3, 4), x3(3, 4);
+  for (std::size_t e = 0; e < m.p.grad.size(); ++e) {
+    m.p.grad.data()[e] = rng.uniform(-1.0, 1.0) * 1e3;
+    x1.data()[e] = rng.uniform(-1.0, 1.0);
+    x2.data()[e] = rng.uniform(-1.0, 1.0) * 1e-3;
+    x3.data()[e] = rng.uniform(-1.0, 1.0) * 1e-6;
+  }
+  const la::Mat g0 = m.p.grad;
+  ag::Tape tape;
+  ag::Var a = m.lift(tape);
+  ag::Var b = m.lift(tape);
+  ag::Var loss = ag::add(ag::add(ag::sum_all(ag::hadamard_const(a, x1)),
+                                 ag::sum_all(ag::hadamard_const(a, x2))),
+                         ag::sum_all(ag::hadamard_const(b, x3)));
+  tape.backward(loss);
+  int other_order_differs = 0;
+  for (std::size_t e = 0; e < g0.size(); ++e) {
+    const double g = g0.data()[e];
+    const double v1 = x1.data()[e], v2 = x2.data()[e], v3 = x3.data()[e];
+    const double want = (g + v3) + (v2 + v1);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.p.grad.data()[e]),
+              std::bit_cast<std::uint64_t>(want))
+        << "entry " << e;
+    other_order_differs += ((g + v1) + v2) + v3 != want;
+  }
+  EXPECT_GT(other_order_differs, 0);  // the association is observable
 }
 
 TEST(Serialize, RoundTrip) {

@@ -554,22 +554,8 @@ double golden_objective(const std::vector<double>& x) {
   return acc;
 }
 
-std::uint64_t bits_of(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
-struct Fnv1a {
-  std::uint64_t h = 14695981039346656037ULL;
-  void add(double v) {
-    const std::uint64_t bits = bits_of(v);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (bits >> (8 * byte)) & 0xffU;
-      h *= 1099511628211ULL;
-    }
-  }
-};
+using gcnrl::testing::bits_of;
+using gcnrl::testing::Fnv1a;
 
 struct GoldenTrace {
   std::uint64_t asks = 0;

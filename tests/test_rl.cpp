@@ -9,11 +9,14 @@
 #include <vector>
 
 #include "autograd/ops.hpp"
+#include "circuits/benchmark_circuits.hpp"
+#include "env/sizing_env.hpp"
 #include "nn/gcn.hpp"
 #include "rl/ddpg.hpp"
 #include "rl/networks.hpp"
 #include "rl/noise.hpp"
 #include "rl/replay_buffer.hpp"
+#include "test_helpers.hpp"
 
 namespace rl = gcnrl::rl;
 namespace la = gcnrl::la;
@@ -366,4 +369,87 @@ TEST(CriticBackward, StreamedMatchesWholeBatchTapeWithRepeatedSamples) {
   // Replay sampling is with replacement, so one transition can appear in a
   // batch several times, adjacent or not.
   expect_streamed_critic_matches_reference({2, 5, 2, 2, 9, 5, 0, 2, 9, 9});
+}
+
+namespace {
+
+// Golden DDPG transcripts: the agent on the real Two-TIA / Three-TIA
+// graphs (180 nm states, adjacency and kinds), GCN and NG variants, with
+// a synthetic reward so the transcript depends on the learner alone.
+// 12 warm-up steps, then 36 learning steps of 4 updates each. `actions`
+// hashes the bits of every act_explore() action in step order, `params`
+// the bits of every final actor and critic parameter; either moves with
+// any bit of a forward value, a gradient, its summation order or Adam.
+constexpr int kGoldenWarmup = 12;
+constexpr int kGoldenSteps = kGoldenWarmup + 36;
+
+using gcnrl::testing::Fnv1a;
+
+double golden_reward(const la::Mat& a) {
+  double r = 0.0;
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < a.cols(); ++j) {
+      const double d = a(i, j) - 0.6 * std::sin(1.3 * i + 2.1 * j);
+      r -= d * d;
+    }
+  }
+  return r / static_cast<double>(a.size());
+}
+
+struct DdpgGolden {
+  std::uint64_t actions = 0;
+  std::uint64_t params = 0;
+};
+
+DdpgGolden ddpg_golden(gcnrl::env::BenchmarkCircuit bc, bool use_gcn) {
+  const gcnrl::env::SizingEnv env(std::move(bc));
+  rl::DdpgConfig cfg;
+  cfg.use_gcn = use_gcn;
+  cfg.warmup = kGoldenWarmup;
+  rl::DdpgAgent agent(env.state(), env.adjacency(), env.kinds(), cfg,
+                      Rng(31));
+  Fnv1a actions;
+  for (int step = 0; step < kGoldenSteps; ++step) {
+    const la::Mat a = agent.act_explore();
+    actions.add(a);
+    agent.observe(a, golden_reward(a));
+  }
+  Fnv1a params;
+  for (const gcnrl::nn::Parameter* p : agent.parameters()) params.add(p->value);
+  return {actions.h, params.h};
+}
+
+void expect_ddpg_golden(const DdpgGolden& got, std::uint64_t actions,
+                        std::uint64_t params) {
+  EXPECT_EQ(got.actions, actions) << std::hex << "actions 0x" << got.actions;
+  EXPECT_EQ(got.params, params) << std::hex << "params 0x" << got.params;
+}
+
+}  // namespace
+
+// Captured from the build before the arena tape and the blocked matmul
+// kernel (std::function tape, copied leaves, three matmul loops).
+TEST(DdpgGolden, TwoTiaGcn) {
+  const auto tech = gcnrl::circuit::make_technology("180nm");
+  expect_ddpg_golden(ddpg_golden(gcnrl::circuits::make_two_tia(tech), true),
+                     0xaae1ecb002e6c182ULL, 0x4df1378b390d1173ULL);
+}
+
+TEST(DdpgGolden, TwoTiaNg) {
+  const auto tech = gcnrl::circuit::make_technology("180nm");
+  expect_ddpg_golden(ddpg_golden(gcnrl::circuits::make_two_tia(tech), false),
+                     0xf6b0bbb351533288ULL, 0x599c75217f407b3fULL);
+}
+
+TEST(DdpgGolden, ThreeTiaGcn) {
+  const auto tech = gcnrl::circuit::make_technology("180nm");
+  expect_ddpg_golden(ddpg_golden(gcnrl::circuits::make_three_tia(tech), true),
+                     0xa4e65933bff0f312ULL, 0xe6dd980b8c162522ULL);
+}
+
+TEST(DdpgGolden, ThreeTiaNg) {
+  const auto tech = gcnrl::circuit::make_technology("180nm");
+  expect_ddpg_golden(
+      ddpg_golden(gcnrl::circuits::make_three_tia(tech), false),
+      0x72db2f23c3493a9fULL, 0x4f1bb8d72dded1eeULL);
 }
