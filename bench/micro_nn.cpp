@@ -19,9 +19,26 @@ namespace {
 // (n, k, m) = the row's arguments. Half of A's entries are zero, as in
 // the ReLU'd activations and gradients the learner multiplies. The
 // learner's products: H·W and G·Wᵀ at 9 x 32 x 32, Hᵀ·G at 32 x 9 x 32.
+// BM_Matmul runs the kernel version the library picked for this host,
+// BM_MatmulBaseline the baseline version; each row's label names it.
 enum class MatmulForm { kNN, kTN, kNT };
 
-void BM_Matmul(benchmark::State& state, MatmulForm form) {
+// The product through `run`, as la::matmul / matmul_tn / matmul_nt make
+// it (matmul_nt transposes B first).
+la::Mat product(MatmulForm form, const la::Mat& a, const la::Mat& b,
+                la::MatmulKernelFn run) {
+  if (form == MatmulForm::kNT) {
+    return product(MatmulForm::kNN, a, b.transpose(), run);
+  }
+  const bool tn = form == MatmulForm::kTN;
+  la::Mat c(tn ? a.cols() : a.rows(), b.cols());
+  run(c.rows(), b.rows(), c.cols(), a.data(), tn ? 1 : a.cols(),
+      tn ? a.cols() : 1, b.data(), b.cols(), c.data(), c.cols(), false);
+  return c;
+}
+
+void time_matmul(benchmark::State& state, MatmulForm form,
+                 la::MatmulKernelFn run, const char* version) {
   const int n = static_cast<int>(state.range(0));
   const int k = static_cast<int>(state.range(1));
   const int m = static_cast<int>(state.range(2));
@@ -33,18 +50,29 @@ void BM_Matmul(benchmark::State& state, MatmulForm form) {
   }
   for (std::size_t e = 0; e < b.size(); ++e) b.data()[e] = rng.uniform(-1, 1);
   for (auto _ : state) {
-    const la::Mat c = form == MatmulForm::kNN   ? la::matmul(a, b)
-                      : form == MatmulForm::kTN ? la::matmul_tn(a, b)
-                                                : la::matmul_nt(a, b);
+    const la::Mat c = product(form, a, b, run);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2l * n * k * m);
+  state.SetLabel(version);
+}
+
+void BM_Matmul(benchmark::State& state, MatmulForm form) {
+  time_matmul(state, form, la::matmul_kernel, la::matmul_kernel_name());
 }
 BENCHMARK_CAPTURE(BM_Matmul, nn, MatmulForm::kNN)
     ->Args({9, 32, 32})->Args({32, 32, 32})->Args({64, 64, 64})
     ->Args({128, 128, 128});
 BENCHMARK_CAPTURE(BM_Matmul, tn, MatmulForm::kTN)->Args({32, 9, 32});
 BENCHMARK_CAPTURE(BM_Matmul, nt, MatmulForm::kNT)->Args({9, 32, 32});
+
+void BM_MatmulBaseline(benchmark::State& state, MatmulForm form) {
+  const la::MatmulKernelVersion& v = la::matmul_kernel_versions().front();
+  time_matmul(state, form, v.run, v.name);
+}
+BENCHMARK_CAPTURE(BM_MatmulBaseline, nn, MatmulForm::kNN)->Args({9, 32, 32});
+BENCHMARK_CAPTURE(BM_MatmulBaseline, tn, MatmulForm::kTN)->Args({32, 9, 32});
+BENCHMARK_CAPTURE(BM_MatmulBaseline, nt, MatmulForm::kNT)->Args({9, 32, 32});
 
 // One critic step of Algorithm 1 at the agent's real sizes: Two-TIA
 // (9 components), hidden 32, 7 GCN layers, a 32-transition batch streamed

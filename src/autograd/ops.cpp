@@ -74,15 +74,8 @@ void pullback(Tape& tape, const Node& n) {
       const Node& b = tape.node(n.b);
       const int k = a.cols;
       if (a.requires_grad) {
-        // a.grad += G·Bᵀ, against Bᵀ transposed into scratch.
-        double* bt = tape.scratch(b.size());
-        for (int p = 0; p < b.rows; ++p) {
-          for (int q = 0; q < b.cols; ++q) {
-            bt[static_cast<std::size_t>(q) * k + p] =
-                b.val[static_cast<std::size_t>(p) * b.cols + q];
-          }
-        }
-        gemm(n.rows, n.cols, k, g, bt, a.grad, true);
+        // a.grad += G·Bᵀ (Bᵀ kept by the tape when B is a parameter).
+        gemm(n.rows, n.cols, k, g, tape.transposed_value(b), a.grad, true);
       }
       if (b.requires_grad) gemm_tn(k, n.rows, n.cols, a.val, g, b.grad, true);
       return;

@@ -1,6 +1,7 @@
 #include "autograd/tape.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace gcnrl::ag {
 namespace {
@@ -49,9 +50,46 @@ Tape::Recorded Tape::record(Node n) {
   return {Var(this, static_cast<int>(nodes_.size()) - 1), val};
 }
 
-double* Tape::scratch(std::size_t count) {
-  if (scratch_.size() < count) scratch_.resize(count);
-  return scratch_.data();
+namespace {
+
+// dst (cols x rows) = srcᵀ, src rows x cols, both row-major.
+void transpose_into(const double* src, int rows, int cols, double* dst) {
+  for (int p = 0; p < rows; ++p) {
+    for (int q = 0; q < cols; ++q) {
+      dst[static_cast<std::size_t>(q) * rows + p] =
+          src[static_cast<std::size_t>(p) * cols + q];
+    }
+  }
+}
+
+// Whether `t` still holds srcᵀ, bit for bit.
+[[maybe_unused]] bool is_transpose(const std::vector<double>& t,
+                                   const double* src, int rows, int cols) {
+  std::vector<double> now(t.size());
+  transpose_into(src, rows, cols, now.data());
+  return std::memcmp(now.data(), t.data(), t.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+const double* Tape::transposed_value(const Node& n) {
+  if (!n.referenced) {
+    if (scratch_.size() < n.size()) scratch_.resize(n.size());
+    transpose_into(n.val, n.rows, n.cols, scratch_.data());
+    return scratch_.data();
+  }
+  for (const Transpose& e : transposes_) {
+    if (e.value == n.val && e.rows == n.rows && e.cols == n.cols) {
+      assert(is_transpose(e.t, n.val, n.rows, n.cols) &&
+             "a parameter() value changed while its tape lives");
+      return e.t.data();
+    }
+  }
+  Transpose& e =
+      transposes_.emplace_back(Transpose{n.val, n.rows, n.cols, {}});
+  e.t.resize(n.size());
+  transpose_into(n.val, n.rows, n.cols, e.t.data());
+  return e.t.data();
 }
 
 Var Tape::leaf_copy(const la::Mat& value, Op op) {
@@ -79,6 +117,7 @@ Var Tape::parameter(const la::Mat& value, la::Mat* grad) {
   n.rows = value.rows();
   n.cols = value.cols();
   n.sink = grad;
+  n.referenced = true;
   n.val = value.data();
   return record(n).var;
 }

@@ -17,8 +17,13 @@
 //    node's storage stays put until clear().
 //  * Op enum. backward() dispatches each node's pull-back through one
 //    switch (autograd/ops.cpp) on its Op: no closures, no per-node heap
-//    objects. Pull-back temporaries (the transposed right operand of a
-//    matmul) come from a scratch buffer the tape keeps across clear().
+//    objects.
+//  * Transposes. A matmul's pull-back needs Wᵀ. When W is a parameter()
+//    leaf, the tape transposes it on first use and keeps that copy for
+//    its whole life, across clear(), keyed by the value's pointer and
+//    shape: a critic step that streams 32 samples through one tape
+//    transposes each weight once, not 32 times. Any other W is
+//    transposed into a scratch buffer the tape keeps across clear().
 //  * Zero gradients. Every node's gradient starts at +0 when the node is
 //    recorded; pull-backs add into it in reverse creation order, exactly
 //    as separate per-node buffers would.
@@ -28,7 +33,12 @@
 //    the tape's destruction.
 //  * parameter() references the caller's value and gradient matrices; it
 //    copies neither. Both must outlive backward(), and neither may be
-//    resized while the tape holds the leaf. backward() adds the leaf's
+//    resized while the tape holds the leaf. A referenced value may not
+//    change while the tape lives, not just until clear(): the tape may
+//    hold its transpose. Update parameters (an optimizer step, a weight
+//    load) only between tapes, and never lift a different value at a
+//    freed value's address onto the same tape. Debug builds assert that
+//    a kept transpose still matches its value. backward() adds the leaf's
 //    summed gradient into the gradient matrix once, when the reverse
 //    sweep reaches the leaf, so a leaf used k times yields
 //    grad + (g1 + ... + gk).
@@ -104,6 +114,7 @@ enum class Op : std::uint8_t {
 struct Node {
   Op op = Op::kConstant;
   bool requires_grad = false;
+  bool referenced = false;  // val points at a parameter() value
   int rows = 0;
   int cols = 0;
   int a = -1;  // operand node indices (-1: none)
@@ -177,9 +188,11 @@ class Tape {
     double* val;
   };
   Recorded record(Node n);
-  // Pull-back temporary of at least `count` doubles; reused by the next
-  // call, so only one may be live at a time.
-  double* scratch(std::size_t count);
+  // Row-major transpose of `n`'s value, valid until the next call. For a
+  // referenced (parameter()) value it is the copy the tape keeps for its
+  // life; for an arena value it is a fresh transpose in the scratch
+  // buffer.
+  const double* transposed_value(const Node& n);
 
  private:
   double* allocate(std::size_t count);
@@ -195,6 +208,14 @@ class Tape {
   std::size_t chunk_ = 0;  // chunk the bump pointer is in
   std::size_t used_ = 0;   // doubles used in chunks_[chunk_]
   std::vector<double> scratch_;
+  // The kept transposes of referenced values (a few dozen at most).
+  struct Transpose {
+    const double* value;
+    int rows;
+    int cols;
+    std::vector<double> t;
+  };
+  std::vector<Transpose> transposes_;
 };
 
 inline MatView Var::value() const {

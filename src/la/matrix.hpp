@@ -4,13 +4,14 @@
 // (real matrices) and the circuit simulator's MNA systems (complex
 // matrices for AC analysis). It deliberately stays small: dynamic 2-D
 // storage, elementwise arithmetic, and one register-blocked real matmul
-// kernel. Anything fancier (LU, Cholesky) lives in sibling headers.
+// kernel. Anything fancier (Cholesky, sparse LU) lives in sibling headers.
 #pragma once
 
 #include <cassert>
 #include <complex>
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 namespace gcnrl::la {
@@ -112,23 +113,53 @@ using CMat = Matrix<std::complex<double>>;
 // or C += A·B when `accumulate` is set. A is addressed through strides,
 // A(i, p) = a[i * a_row + p * a_col], so Aᵀ·B is the same call with the
 // strides swapped; B and C are row-major with leading dimensions ldb and
-// ldc. Each row of C is computed 16 columns at a time in eight Double2
-// (la/simd.hpp) accumulators held in registers across the whole p loop,
-// then 8, then 2, then one. Eight independent add chains hide the add
-// latency that four leave exposed at the learner's 9 x 32 x 32 shapes.
+// ldc. Each row of C is computed a block of columns at a time, in vector
+// accumulators (la/simd.hpp) held in registers across the whole p loop.
 //
-// Op-order contract (what callers may rely on bit for bit): every c(i, j)
-// is the p-ordered sum, from +0, of the products a(i, p)·b(p, j) taken in
-// ascending p, skipping each term whose a(i, p) compares equal to 0 (so
-// ±0 entries of A cost nothing). With `accumulate`, that finished sum is
-// added to the old c(i, j) once: exactly `c += (A·B)` through a temporary.
-// No FMA contraction: the build targets baseline x86-64 / AArch64 without
-// -march or -ffast-math, and each lane op is one IEEE multiply or add.
-// For finite inputs the skipped terms change nothing: a sum from +0 is
-// never -0, and adding ±0 to it leaves it unchanged.
+// Versions. The row blocks are built twice on x86-64:
+//  * baseline (x86-64 SSE2, or AArch64 NEON): 16 columns in eight Double2
+//    accumulators, then 8, then 2, then one. Eight independent add chains
+//    hide the add latency that four leave exposed at the learner's
+//    9 x 32 x 32 shapes;
+//  * avx2: one full 32-column learner row in eight Double4 accumulators,
+//    then the baseline's blocks for the rest of the row.
+// matmul_kernel runs the widest version the host supports, picked once
+// while the library's static initializers run (__builtin_cpu_supports).
+// There is no switch to override it: every version gives the same bits.
+//
+// Op-order contract (what callers may rely on bit for bit, in every
+// version): every c(i, j) is the p-ordered sum, from +0, of the products
+// a(i, p)·b(p, j) taken in ascending p, skipping each term whose a(i, p)
+// compares equal to 0 (so ±0 entries of A cost nothing). With
+// `accumulate`, that finished sum is added to the old c(i, j) once:
+// exactly `c += (A·B)` through a temporary. Each lane op is one IEEE
+// multiply or add, so the block width never shows in the bits. No FMA
+// contraction: the gcnrl target is built with -ffp-contract=off (PUBLIC,
+// so code that includes this header is too), which also covers AArch64,
+// whose baseline ISA has FMA. test_la's Matrix.KernelNeverFusesMultiplyAdd
+// and tools/check_no_fma.sh check it. For finite inputs the skipped terms
+// change nothing: a sum from +0 is never -0, and adding ±0 to it leaves
+// it unchanged.
 void matmul_kernel(int n, int k, int m, const double* a, std::ptrdiff_t a_row,
                    std::ptrdiff_t a_col, const double* b, std::ptrdiff_t ldb,
                    double* c, std::ptrdiff_t ldc, bool accumulate);
+
+using MatmulKernelFn = void (*)(int n, int k, int m, const double* a,
+                                std::ptrdiff_t a_row, std::ptrdiff_t a_col,
+                                const double* b, std::ptrdiff_t ldb, double* c,
+                                std::ptrdiff_t ldc, bool accumulate);
+
+// One build of the kernel, callable directly (by tests and benches).
+struct MatmulKernelVersion {
+  const char* name;  // "baseline" or "avx2"
+  bool supported;    // the host can run it
+  MatmulKernelFn run;
+};
+
+// Every version built into this library, narrowest first.
+std::span<const MatmulKernelVersion> matmul_kernel_versions();
+// The name of the version matmul_kernel runs on this host.
+const char* matmul_kernel_name();
 
 // C = A·B.
 Mat matmul(const Mat& a, const Mat& b);

@@ -2,7 +2,9 @@
 // finite differences through non-trivial composite expressions.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include "autograd/ops.hpp"
 #include "autograd/tape.hpp"
@@ -214,4 +216,70 @@ TEST(Autograd, GradientAccumulatesOverReuse) {
   ag::Var loss = ag::sum_all(ag::add(x, x));
   tape.backward(loss);
   EXPECT_DOUBLE_EQ(x.grad()(0, 0), 2.0);
+}
+
+namespace {
+
+bool same_bits(const la::Mat& a, const la::Mat& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// One training-style pass: W (trained) and F (frozen) are each lifted into
+// two matmuls, so their kept transposes serve several pull-backs. Returns
+// dloss/dx; W's gradient is added into *w_grad.
+la::Mat two_layer_pass(ag::Tape& tape, const la::Mat& x0, const la::Mat& w,
+                       la::Mat* w_grad, const la::Mat& f) {
+  ag::Var x = tape.input(x0);
+  ag::Var h = ag::relu(ag::matmul(x, tape.parameter(w, w_grad)));
+  h = ag::tanh_(ag::matmul(h, tape.parameter(f, nullptr)));
+  h = ag::matmul(ag::relu(ag::matmul(h, tape.parameter(w, w_grad))),
+                 tape.parameter(f, nullptr));
+  tape.backward(ag::sum_all(ag::hadamard(h, h)));
+  return x.grad();
+}
+
+}  // namespace
+
+TEST(Autograd, KeptTransposesMatchFreshTapesBitwise) {
+  Rng rng(17);
+  const la::Mat w = random_mat(6, 6, rng);
+  const la::Mat f = random_mat(6, 6, rng);
+  std::vector<la::Mat> xs;
+  for (int pass = 0; pass < 12; ++pass) xs.push_back(random_mat(5, 6, rng));
+
+  la::Mat kept_grad(6, 6);
+  la::Mat fresh_grad(6, 6);
+  ag::Tape kept;
+  for (const la::Mat& x0 : xs) {
+    kept.clear();
+    const la::Mat dx_kept = two_layer_pass(kept, x0, w, &kept_grad, f);
+    ag::Tape fresh;
+    const la::Mat dx_fresh = two_layer_pass(fresh, x0, w, &fresh_grad, f);
+    EXPECT_TRUE(same_bits(dx_kept, dx_fresh));
+  }
+  EXPECT_TRUE(same_bits(kept_grad, fresh_grad));
+}
+
+TEST(Autograd, FreshTapeSeesAChangedParameterValue) {
+  Rng rng(29);
+  la::Mat w = random_mat(6, 6, rng);
+  const la::Mat f = random_mat(6, 6, rng);
+  const la::Mat x0 = random_mat(5, 6, rng);
+  la::Mat grad(6, 6);
+  {
+    ag::Tape tape;
+    two_layer_pass(tape, x0, w, &grad, f);
+  }
+  // An optimizer-style in-place update between tapes: same address and
+  // shape, new value.
+  w *= -0.5;
+  ag::Tape after;
+  const la::Mat dx = two_layer_pass(after, x0, w, &grad, f);
+  // The reference lifts an equal value from another address.
+  const la::Mat w_copy = w;
+  la::Mat copy_grad(6, 6);
+  ag::Tape reference;
+  EXPECT_TRUE(
+      same_bits(dx, two_layer_pass(reference, x0, w_copy, &copy_grad, f)));
 }

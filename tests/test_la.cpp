@@ -4,12 +4,12 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "la/cholesky.hpp"
-#include "la/lu.hpp"
 #include "la/matrix.hpp"
 #include "la/sparse.hpp"
 #include "la/stats.hpp"
@@ -17,6 +17,9 @@
 
 namespace la = gcnrl::la;
 using gcnrl::Rng;
+using gcnrl::testing::dense_solve;
+using gcnrl::testing::Lu;
+using gcnrl::testing::SingularMatrixError;
 
 namespace {
 
@@ -191,9 +194,50 @@ la::Mat sparse_signed_mat(int r, int c, Rng& rng) {
   return m;
 }
 
+// la::matmul / matmul_tn / matmul_nt, run through one kernel version.
+la::Mat version_matmul(la::MatmulKernelFn run, const la::Mat& a,
+                       const la::Mat& b) {
+  la::Mat c(a.rows(), b.cols());
+  run(a.rows(), a.cols(), b.cols(), a.data(), a.cols(), 1, b.data(), b.cols(),
+      c.data(), c.cols(), false);
+  return c;
+}
+
+la::Mat version_matmul_tn(la::MatmulKernelFn run, const la::Mat& a,
+                          const la::Mat& b) {
+  la::Mat c(a.cols(), b.cols());
+  run(a.cols(), a.rows(), b.cols(), a.data(), 1, a.cols(), b.data(), b.cols(),
+      c.data(), c.cols(), false);
+  return c;
+}
+
+la::Mat version_matmul_nt(la::MatmulKernelFn run, const la::Mat& a,
+                          const la::Mat& b) {
+  return version_matmul(run, a, b.transpose());
+}
+
+// Runs `check` on every kernel version the host supports, each under a
+// trace naming it, then skips (naming them) if the host lacks some.
+template <typename Check>
+void for_each_kernel_version(Check check) {
+  std::string lacking;
+  for (const la::MatmulKernelVersion& v : la::matmul_kernel_versions()) {
+    if (!v.supported) {
+      lacking += std::string(lacking.empty() ? "" : ", ") + v.name;
+      continue;
+    }
+    SCOPED_TRACE(v.name);
+    check(v.run);
+  }
+  if (!lacking.empty()) {
+    GTEST_SKIP() << "host lacks kernel version(s): " << lacking;
+  }
+}
+
 }  // namespace
 
 TEST(Matrix, BlockedKernelMatchesReferenceLoopsBitwise) {
+  // The wrappers, through the version the library picked.
   Rng rng(2024);
   for (const int n : {1, 9, 33}) {
     for (const int k : {1, 3, 18, 32}) {
@@ -208,17 +252,59 @@ TEST(Matrix, BlockedKernelMatchesReferenceLoopsBitwise) {
             same_bits(la::matmul_tn(at, b), reference_matmul_tn(at, b)));
         EXPECT_TRUE(
             same_bits(la::matmul_nt(a, bt), reference_matmul_nt(a, bt)));
-        // Accumulating form, as the autograd pull-backs call it:
-        // exactly c += (A·B) through a temporary.
-        la::Mat c = sparse_signed_mat(n, m, rng);
-        la::Mat want = c;
-        want += reference_matmul(a, b);
-        la::matmul_kernel(n, k, m, a.data(), k, 1, b.data(), m, c.data(), m,
-                          true);
-        EXPECT_TRUE(same_bits(c, want));
       }
     }
   }
+  // Every version on its own, at widths that reach each of its blocks
+  // (32, 16, 8, 2 and 1 columns) alone and together.
+  for_each_kernel_version([](la::MatmulKernelFn run) {
+    Rng rng(2024);
+    for (const int n : {1, 9, 33}) {
+      for (const int k : {1, 3, 18, 32}) {
+        for (const int m : {1, 3, 7, 8, 9, 16, 32, 33, 59, 64}) {
+          SCOPED_TRACE(testing::Message() << n << "x" << k << "x" << m);
+          const la::Mat a = sparse_signed_mat(n, k, rng);
+          const la::Mat at = sparse_signed_mat(k, n, rng);
+          const la::Mat b = sparse_signed_mat(k, m, rng);
+          const la::Mat bt = sparse_signed_mat(m, k, rng);
+          EXPECT_TRUE(
+              same_bits(version_matmul(run, a, b), reference_matmul(a, b)));
+          EXPECT_TRUE(same_bits(version_matmul_tn(run, at, b),
+                                reference_matmul_tn(at, b)));
+          EXPECT_TRUE(same_bits(version_matmul_nt(run, a, bt),
+                                reference_matmul_nt(a, bt)));
+          // Accumulating form, as the autograd pull-backs call it:
+          // exactly c += (A·B) through a temporary.
+          la::Mat c = sparse_signed_mat(n, m, rng);
+          la::Mat want = c;
+          want += reference_matmul(a, b);
+          run(n, k, m, a.data(), k, 1, b.data(), m, c.data(), m, true);
+          EXPECT_TRUE(same_bits(c, want));
+        }
+      }
+    }
+  });
+}
+
+TEST(Matrix, KernelNeverFusesMultiplyAdd) {
+  // c = (-1)·(1 + 2^-26) + x·x with x = 1 + 2^-27. x·x = 1 + 2^-26 +
+  // 2^-54 rounds to 1 + 2^-26, so the unfused sum is exactly +0; one
+  // fused multiply-add keeps the 2^-54. 59 columns reach every block of
+  // every version.
+  const double x = 1.0 + std::ldexp(1.0, -27);
+  const double y = 1.0 + std::ldexp(1.0, -26);
+  const int m = 59;
+  const la::Mat a{{-1.0, x}};
+  la::Mat b(2, m);
+  for (int j = 0; j < m; ++j) {
+    b(0, j) = y;
+    b(1, j) = x;
+  }
+  const la::Mat zero(1, m);
+  EXPECT_TRUE(same_bits(la::matmul(a, b), zero));
+  for_each_kernel_version([&](la::MatmulKernelFn run) {
+    EXPECT_TRUE(same_bits(version_matmul(run, a, b), zero));
+  });
 }
 
 TEST(Matrix, Hadamard) {
@@ -240,20 +326,20 @@ TEST(Lu, SolvesRandomSystem) {
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) b[i] += a(i, j) * x_true[j];
   }
-  const auto x = la::solve(a, b);
+  const auto x = dense_solve(a, b);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
 }
 
 TEST(Lu, PivotingHandlesZeroDiagonal) {
   la::Mat a{{0.0, 1.0}, {1.0, 0.0}};
-  const auto x = la::solve(a, {2.0, 3.0});
+  const auto x = dense_solve(a, {2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
 TEST(Lu, ThrowsOnSingular) {
   la::Mat a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_THROW(la::Lu<double>{a}, la::SingularMatrixError);
+  EXPECT_THROW(Lu<double>{a}, SingularMatrixError);
 }
 
 TEST(Lu, SolveTransposed) {
@@ -263,7 +349,7 @@ TEST(Lu, SolveTransposed) {
   for (int i = 0; i < n; ++i) a(i, i) += 4.0;
   std::vector<double> b(n);
   for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  la::Lu<double> lu(a);
+  Lu<double> lu(a);
   const auto x = lu.solve_transposed(b);
   // Check A^T x = b.
   for (int i = 0; i < n; ++i) {
@@ -285,7 +371,7 @@ TEST(Lu, ComplexSystem) {
   for (int i = 0; i < 2; ++i) {
     for (int j = 0; j < 2; ++j) b[i] += a(i, j) * x_true[j];
   }
-  const auto x = la::solve(a, b);
+  const auto x = dense_solve(a, b);
   for (int i = 0; i < 2; ++i) {
     EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-12);
   }
@@ -304,7 +390,7 @@ TEST(Lu, ComplexConjugateTransposeSolve) {
   }
   std::vector<cd> b(n);
   for (auto& v : b) v = cd(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-  la::Lu<cd> lu(a);
+  Lu<cd> lu(a);
   const auto x = lu.solve_transposed(b, /*conjugate=*/true);
   for (int i = 0; i < n; ++i) {
     cd acc(0.0);
@@ -503,7 +589,7 @@ TEST(SparseLu, MatchesDenseOnRandomSystems) {
     std::vector<double> b(n), x(n);
     for (auto& v : b) v = rng.uniform(-1.0, 1.0);
     lu.solve_into(b.data(), x.data());
-    const auto x_ref = la::solve(s.dense, b);
+    const auto x_ref = dense_solve(s.dense, b);
     for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-9);
   }
 }
@@ -567,7 +653,7 @@ TEST(SparseLu, PivotFallbackRepivotsAndStaysCorrect) {
   double x[2];
   lu.solve_into(b, x);
   la::Mat dense{{1e-6, 1.0}, {1.0, 1e-6}};
-  const auto x_ref = la::solve(dense, {1.0, 2.0});
+  const auto x_ref = dense_solve(dense, {1.0, 2.0});
   EXPECT_NEAR(x[0], x_ref[0], 1e-9);
   EXPECT_NEAR(x[1], x_ref[1], 1e-9);
 }
@@ -601,7 +687,7 @@ TEST(SparseLu, ComplexMatchesDense) {
   std::vector<cd> b(n), x(n);
   for (auto& v : b) v = cd(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
   lu.solve_into(b.data(), x.data());
-  const auto x_ref = la::solve(dense, b);
+  const auto x_ref = dense_solve(dense, b);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x[i] - x_ref[i]), 0.0, 1e-9);
 }
 
@@ -650,7 +736,7 @@ TEST(SparseSweepLu, BlockedSolvesMatchDense) {
               count);
     sweep.solve_block(b.data(), out.data(), n);
     for (int f = 0; f < count; ++f) {
-      la::Lu<cd> dense(dense_ac_matrix(s.pattern, g, c, omega[f]));
+      Lu<cd> dense(dense_ac_matrix(s.pattern, g, c, omega[f]));
       const auto x_ref = dense.solve(b);
       for (int i = 0; i < n; ++i) {
         EXPECT_NEAR(std::abs(out[static_cast<std::size_t>(f) * n + i] -
@@ -661,7 +747,7 @@ TEST(SparseSweepLu, BlockedSolvesMatchDense) {
     }
     sweep.solve_transposed_block(b.data(), out.data(), n);
     for (int f = 0; f < count; ++f) {
-      la::Lu<cd> dense(dense_ac_matrix(s.pattern, g, c, omega[f]));
+      Lu<cd> dense(dense_ac_matrix(s.pattern, g, c, omega[f]));
       const auto x_ref = dense.solve_transposed(b, /*conjugate=*/false);
       for (int i = 0; i < n; ++i) {
         EXPECT_NEAR(std::abs(out[static_cast<std::size_t>(f) * n + i] -
@@ -699,7 +785,7 @@ TEST(SparseSweepLu, LaneRejectionRepivotsTransparently) {
     y(0, 1) = cd(bad[1], 0.0);
     y(1, 0) = cd(bad[2], 0.0);
     y(1, 1) = cd(bad[3], omega[f] * c[3]);
-    const auto x_ref = la::solve(y, b);
+    const auto x_ref = dense_solve(y, b);
     for (int i = 0; i < 2; ++i) {
       EXPECT_NEAR(std::abs(out[static_cast<std::size_t>(f) * 2 + i] -
                            x_ref[i]),
@@ -727,7 +813,7 @@ TEST(SparseSweepLu, LaterLaneRejectionSplitsTheBlock) {
   std::vector<cd> out(static_cast<std::size_t>(kLanes) * 2);
   const auto expect_lanes_match_dense = [&](const double* w, int lanes) {
     for (int f = 0; f < lanes; ++f) {
-      const auto x_ref = la::solve(dense_ac_matrix(p, g, c, w[f]), b);
+      const auto x_ref = dense_solve(dense_ac_matrix(p, g, c, w[f]), b);
       for (int i = 0; i < 2; ++i) {
         EXPECT_NEAR(std::abs(out[static_cast<std::size_t>(f) * 2 + i] -
                              x_ref[i]),
